@@ -1,4 +1,4 @@
-"""Comparison classifiers over the flattened 18-feature vector.
+"""Comparison classifiers over the (n, 18) feature matrix, used as is.
 
 All four baselines implement the same fit/predict_proba surface as the
 wide-and-deep classifier so they plug into cross_validate unchanged.
@@ -11,7 +11,7 @@ Hyperparameters follow common defaults and are constructor arguments:
        logistic squashing of the margin
   RF   100 trees, Gini impurity, bootstrap sampling, 4 features per
        split, grown to purity; probability = fraction of malignant votes
-  ANN  two hidden layers of 300 ReLU on the flat 18-vector, trained by
+  ANN  two hidden layers of 300 ReLU on the whole 18-wide row, trained by
        the same engine and config as the wide-and-deep model
 """
 
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .evaluation import EvaluationReport, LabeledExample, cross_validate
-from .features import N_FEATURES, FeatureVector
+from .features import N_FEATURES
 from .ingest import MALIGNANT, NORMAL
 from .netcore import (
     GraphSpec,
@@ -40,11 +40,6 @@ class NotFitted(Exception):
     pass
 
 
-def _design_matrix(fvs: Sequence[FeatureVector]) -> np.ndarray:
-    X = np.array([fv.flatten() for fv in fvs], dtype=float)
-    return X.reshape(len(fvs), N_FEATURES)
-
-
 def _require_both_classes(labels: np.ndarray) -> None:
     if len(set(labels.tolist())) < 2:
         raise SingleClassDataset("training requires examples of both classes")
@@ -58,17 +53,17 @@ class KnnClassifier:
         self.X: np.ndarray | None = None
         self.y: np.ndarray | None = None
 
-    def fit(self, fvs: Sequence[FeatureVector], labels: Sequence[int], seed: int = 0):
-        if len(fvs) == 0:
+    def fit(self, X, labels: Sequence[int], seed: int = 0):
+        if len(X) == 0:
             raise ValueError("KNN needs at least one training example")
-        self.X = _design_matrix(fvs)
+        self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(labels, dtype=int)
         return self
 
-    def predict_proba(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         if self.X is None:
             raise NotFitted("KNN queried before fit")
-        Q = _design_matrix(fvs)
+        Q = np.asarray(X, dtype=float)
         k = min(self.k, self.X.shape[0])
         out = np.empty(Q.shape[0])
         for i, q in enumerate(Q):
@@ -88,10 +83,10 @@ class LinearSvmClassifier:
         self.w: np.ndarray | None = None
         self.b = 0.0
 
-    def fit(self, fvs: Sequence[FeatureVector], labels: Sequence[int], seed: int = 0):
+    def fit(self, X, labels: Sequence[int], seed: int = 0):
         labels = np.asarray(labels, dtype=int)
         _require_both_classes(labels)
-        X = _design_matrix(fvs)
+        X = np.asarray(X, dtype=float)
         y = np.where(labels == MALIGNANT, 1.0, -1.0)
         rng = np.random.default_rng(seed)
         w = np.zeros(X.shape[1])
@@ -109,13 +104,13 @@ class LinearSvmClassifier:
         self.w, self.b = w, b
         return self
 
-    def margin(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
+    def margin(self, X) -> np.ndarray:
         if self.w is None:
             raise NotFitted("SVM queried before fit")
-        return _design_matrix(fvs) @ self.w + self.b
+        return np.asarray(X, dtype=float) @ self.w + self.b
 
-    def predict_proba(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
-        m = self.margin(fvs)
+    def predict_proba(self, X) -> np.ndarray:
+        m = self.margin(X)
         # overflow-safe logistic squashing of the signed margin
         out = np.empty_like(m)
         pos = m >= 0
@@ -193,10 +188,10 @@ class RandomForestClassifier:
         self.n_split_features = n_split_features
         self.trees: list[_TreeNode] | None = None
 
-    def fit(self, fvs: Sequence[FeatureVector], labels: Sequence[int], seed: int = 0):
+    def fit(self, X, labels: Sequence[int], seed: int = 0):
         labels = np.asarray(labels, dtype=int)
         _require_both_classes(labels)
-        X = _design_matrix(fvs)
+        X = np.asarray(X, dtype=float)
         n = X.shape[0]
         m = min(self.n_split_features, X.shape[1])
         self.trees = []
@@ -206,10 +201,9 @@ class RandomForestClassifier:
             self.trees.append(_grow_tree(X[boot], labels[boot], rng, m))
         return self
 
-    def predict_proba(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         if self.trees is None:
             raise NotFitted("random forest queried before fit")
-        X = _design_matrix(fvs)
         votes = np.array(
             [[_tree_vote(tree, x) for tree in self.trees] for x in X], dtype=float
         )
@@ -217,27 +211,27 @@ class RandomForestClassifier:
 
 
 class AnnClassifier:
-    """Plain feed-forward network on the flat 18-vector."""
+    """Plain feed-forward network on the whole 18-wide feature row."""
 
     def __init__(self, config: TrainConfig, hidden: tuple[int, int] = (300, 300)):
         self.config = config
         self.hidden = hidden
         self.net = None
 
-    def fit(self, fvs: Sequence[FeatureVector], labels: Sequence[int], seed: int = 0):
+    def fit(self, X, labels: Sequence[int], seed: int = 0):
         labels = np.asarray(labels, dtype=int)
         _require_both_classes(labels)
         spec = GraphSpec(branches=(), passthrough=(("features", N_FEATURES),),
                          head_hidden=tuple(self.hidden), n_outputs=2)
         net = init_network(spec, seed)
         config = replace(self.config, seed=seed)
-        self.net, _ = train(net, {"features": _design_matrix(fvs)}, labels, config)
+        self.net, _ = train(net, {"features": X}, labels, config)
         return self
 
-    def predict_proba(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         if self.net is None:
             raise NotFitted("ANN queried before fit")
-        return forward(self.net, {"features": _design_matrix(fvs)})[:, MALIGNANT]
+        return forward(self.net, {"features": X})[:, MALIGNANT]
 
 
 CLASSIFIER_KINDS = ("widedeep", "ann", "svm", "rf", "knn")

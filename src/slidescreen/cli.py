@@ -7,9 +7,12 @@ Exit codes: 0 success, 1 classification-pipeline failure, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from . import baselines, evaluation, features, ingest, netcore, synth, widedeep
 
@@ -153,8 +156,8 @@ def _load_examples(args) -> list[evaluation.LabeledExample]:
     else:
         manifest = ingest.load_manifest(args.manifest)
         rows = _extract_all(manifest, getattr(args, "jobs", 1))
-    return [evaluation.LabeledExample(slide_id, fv, label)
-            for slide_id, label, fv in rows]
+    return [evaluation.LabeledExample(slide_id, row, label)
+            for slide_id, label, row in rows]
 
 
 def _check_jobs(args) -> None:
@@ -233,24 +236,17 @@ def cmd_predict(args) -> int:
 def cmd_heatmap(args) -> int:
     patches = ingest.load_patches(args.slide)
     lines = []
-    if patches:
+    if patches.size:
         # snap each patch center to its nearest grid cell; on collision the
-        # highest probability wins
-        cells: dict[tuple[int, int], float] = {}
-        for p in patches:
-            row = (p.y + GRID_SPACING // 2) // GRID_SPACING
-            col = (p.x + GRID_SPACING // 2) // GRID_SPACING
-            key = (row, col)
-            if key not in cells or p.prob_malignant > cells[key]:
-                cells[key] = p.prob_malignant
-        rows = [r for r, _ in cells]
-        cols = [c for _, c in cells]
-        for r in range(min(rows), max(rows) + 1):
-            line = []
-            for c in range(min(cols), max(cols) + 1):
-                value = cells.get((r, c))
-                line.append("" if value is None else repr(value))
-            lines.append(",".join(line))
+        # highest probability wins (fmax ignores the NaN of empty cells)
+        rows = (patches["y"] + GRID_SPACING // 2) // GRID_SPACING
+        cols = (patches["x"] + GRID_SPACING // 2) // GRID_SPACING
+        rows -= rows.min()
+        cols -= cols.min()
+        grid = np.full((rows.max() + 1, cols.max() + 1), np.nan)
+        np.fmax.at(grid, (rows, cols), patches["prob_malignant"])
+        lines = [",".join("" if math.isnan(v) else repr(v) for v in line)
+                 for line in grid.tolist()]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         for line in lines:
             fh.write(line + "\n")
@@ -281,8 +277,9 @@ def main(argv=None) -> int:
         print(f"slidescreen: {exc}", file=sys.stderr)
         return EXIT_IO
     except (netcore.SingleClassDataset, netcore.EmptyDataset,
-            evaluation.TooFewExamples, evaluation.SingleClassScores,
-            evaluation.EmptyEvaluation, baselines.NotFitted, ValueError) as exc:
+            netcore.TrainingDiverged, evaluation.TooFewExamples,
+            evaluation.SingleClassScores, evaluation.EmptyEvaluation,
+            baselines.NotFitted, ValueError) as exc:
         print(f"slidescreen: pipeline failure: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 

@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .features import FeatureVector
 from .ingest import MALIGNANT, NORMAL
 from .seeding import derive_seed
 
@@ -37,7 +36,7 @@ class EmptyEvaluation(Exception):
 @dataclass(frozen=True)
 class LabeledExample:
     slide_id: str
-    features: FeatureVector
+    features: np.ndarray  # the slide's (18,) feature row
     label: int
 
 
@@ -186,10 +185,10 @@ def mean_metrics(metric_sets: Sequence[MetricSet]) -> MetricSet:
 
 
 def _run_fold(task):
-    factory, train_fvs, train_labels, test_fvs, fold_seed = task
+    factory, X_train, y_train, X_test, fold_seed = task
     clf = factory()
-    clf.fit(train_fvs, train_labels, seed=fold_seed)
-    return np.asarray(clf.predict_proba(test_fvs), dtype=float)
+    clf.fit(X_train, y_train, seed=fold_seed)
+    return np.asarray(clf.predict_proba(X_test), dtype=float)
 
 
 def cross_validate(examples: Sequence[LabeledExample],
@@ -203,21 +202,18 @@ def cross_validate(examples: Sequence[LabeledExample],
     """
     assignment = stratified_kfold([(e.slide_id, e.label) for e in examples],
                                   k, seed)
-    by_id = {e.slide_id: e for e in examples}
+    X = np.array([e.features for e in examples], dtype=float)
+    y = np.array([e.label for e in examples], dtype=int)
+    row_of = {e.slide_id: i for i, e in enumerate(examples)}
     tasks = []
     fold_labels = []
     for i, fold_ids in enumerate(assignment.folds):
-        train = [by_id[s] for j, fold in enumerate(assignment.folds)
-                 if j != i for s in fold]
-        test = [by_id[s] for s in fold_ids]
-        tasks.append((
-            factory,
-            [e.features for e in train],
-            np.array([e.label for e in train], dtype=int),
-            [e.features for e in test],
-            derive_seed(seed, f"fold-{i}"),
-        ))
-        fold_labels.append(np.array([e.label for e in test], dtype=int))
+        train = np.array([row_of[s] for j, fold in enumerate(assignment.folds)
+                          if j != i for s in fold], dtype=int)
+        test = np.array([row_of[s] for s in fold_ids], dtype=int)
+        tasks.append((factory, X[train], y[train], X[test],
+                      derive_seed(seed, f"fold-{i}")))
+        fold_labels.append(y[test])
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             fold_scores = list(pool.map(_run_fold, tasks))

@@ -1,25 +1,36 @@
 """Slide-level feature extraction from patch predictions.
 
-Four feature families, 18 scalars total:
+Four feature families, 18 scalars total, in this column order:
   MTR   malignant tissue ratio (1)
   MPH   10-bin histogram of malignant-patch probabilities over [0.50, 1.00]
   LSRL  slope and intercept of the least-squares line through the histogram
   MCC   connected-component counts at five radii, normalized by malignant
         patch count (5)
 
-A degenerate slide (no patches, or no malignant-classified patches) maps to
-the all-zero vector: no malignant evidence.
+A slide's features are one (18,) float64 row and a set of slides is an
+(n, 18) matrix; the slices below are the only place that layout is
+defined. A degenerate slide (no patches, or no malignant-classified
+patches) maps to the all-zero row: no malignant evidence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import csv
+import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ingest import MALIGNANT_THRESHOLD, SlideRecord, parse_label
+from .ingest import (
+    LABEL_NAMES,
+    MALIGNANT_THRESHOLD,
+    DuplicateSlideId,
+    MalformedRow,
+    MissingFile,
+    SlideRecord,
+    parse_label,
+)
 
 # Bin edges as decimal literals so parsed probabilities compare exactly
 # against them; last bin is closed so prob = 1.0 is counted.
@@ -32,13 +43,20 @@ N_BINS = 10
 # away on a 100-px patch grid (100*sqrt(2) rounded up, then multiples).
 MCC_RADII = (142.0, 283.0, 425.0, 566.0, 708.0)
 
+# Column slices of a feature row: the wide input (MTR) and the three deep
+# branches (MPH, LSRL, MCC).
+MTR = slice(0, 1)
+MPH = slice(1, 1 + N_BINS)
+LSRL = slice(MPH.stop, MPH.stop + 2)
+MCC = slice(LSRL.stop, LSRL.stop + len(MCC_RADII))
+N_FEATURES = MCC.stop  # 18
+
 FEATURE_NAMES = (
     ["mtr"]
     + [f"mph_{i}" for i in range(N_BINS)]
     + ["lsrl_m", "lsrl_b"]
     + [f"mcc_{int(d)}" for d in MCC_RADII]
 )
-N_FEATURES = len(FEATURE_NAMES)  # 18
 
 
 class RegressionLine(NamedTuple):
@@ -46,28 +64,11 @@ class RegressionLine(NamedTuple):
     b: float
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    mtr: float
-    mph: np.ndarray  # (10,)
-    lsrl: RegressionLine
-    mcc: np.ndarray  # (5,)
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [[self.mtr], self.mph, [self.lsrl.m, self.lsrl.b], self.mcc]
-        )
-
-
-def _prob_array(slide: SlideRecord) -> np.ndarray:
-    return np.array([p.prob_malignant for p in slide.patches], dtype=float)
-
-
 def malignant_tissue_ratio(slide: SlideRecord) -> float:
     """Fraction of tissue patches classified malignant; 0 for an empty slide."""
-    if not slide.patches:
+    probs = slide.patches["prob_malignant"]
+    if probs.size == 0:
         return 0.0
-    probs = _prob_array(slide)
     return float(np.count_nonzero(probs >= MALIGNANT_THRESHOLD) / probs.size)
 
 
@@ -78,10 +79,9 @@ def malignant_probability_histogram(slide: SlideRecord) -> np.ndarray:
     closed at 1.00. Counts are normalized by the total number of tissue
     patches, so sum(bins) equals the malignant tissue ratio.
     """
-    bins = np.zeros(N_BINS)
-    if not slide.patches:
-        return bins
-    probs = _prob_array(slide)
+    probs = slide.patches["prob_malignant"]
+    if probs.size == 0:
+        return np.zeros(N_BINS)
     malignant = probs[probs >= MALIGNANT_THRESHOLD]
     idx = np.searchsorted(HISTOGRAM_EDGES, malignant, side="right") - 1
     counts = np.bincount(idx, minlength=N_BINS)
@@ -144,11 +144,8 @@ def connected_components(points: Sequence, d: float) -> list[list]:
     """
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
-    pts = list(points)
-    n = len(pts)
-    if n == 0:
-        return []
-    coords = np.asarray(pts, dtype=float).reshape(n, 2)
+    coords = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = coords.shape[0]
     uf = _UnionFind(n)
     cells: dict[tuple[int, int], list[int]] = {}
     d2 = d * d
@@ -164,71 +161,59 @@ def connected_components(points: Sequence, d: float) -> list[list]:
                     if dx * dx + dy * dy <= d2:
                         uf.union(i, j)
         cells.setdefault((cx, cy), []).append(i)
-    groups: dict[int, list] = {}
-    order = []
+    groups: dict[int, list] = {}  # insertion order: first member's order
     for i in range(n):
-        root = uf.find(i)
-        if root not in groups:
-            groups[root] = []
-            order.append(root)
-        groups[root].append(pts[i])
-    return [groups[root] for root in order]
+        groups.setdefault(uf.find(i), []).append(points[i])
+    return list(groups.values())
 
 
 def mcc_profile(slide: SlideRecord, radii: Sequence[float] = MCC_RADII) -> np.ndarray:
     """Connected-component count per radius over malignant patch centers,
     divided by the malignant patch count; all zeros when none exist."""
-    centers = [
-        (p.x, p.y)
-        for p in slide.patches
-        if p.prob_malignant >= MALIGNANT_THRESHOLD
-    ]
-    if not centers:
+    patches = slide.patches[slide.patches["prob_malignant"] >= MALIGNANT_THRESHOLD]
+    n = patches.size
+    if n == 0:
         return np.zeros(len(radii))
-    n = len(centers)
+    centers = np.column_stack((patches["x"], patches["y"]))
     return np.array(
         [len(connected_components(centers, d)) / n for d in radii]
     )
 
 
-def extract_features(slide: SlideRecord) -> FeatureVector:
-    """Compose the four feature families into one 18-feature vector."""
+def extract_features(slide: SlideRecord) -> np.ndarray:
+    """The slide's (18,) feature row, laid out by the column slices."""
+    row = np.empty(N_FEATURES)
     hist = malignant_probability_histogram(slide)
-    return FeatureVector(
-        mtr=malignant_tissue_ratio(slide),
-        mph=hist,
-        lsrl=least_squares_regression_line(hist),
-        mcc=mcc_profile(slide),
-    )
+    row[MTR] = malignant_tissue_ratio(slide)
+    row[MPH] = hist
+    row[LSRL] = least_squares_regression_line(hist)
+    row[MCC] = mcc_profile(slide)
+    return row
 
 
 def write_features_csv(rows, path) -> None:
-    """Write (slide_id, label, FeatureVector) rows; 17 significant digits
+    """Write (slide_id, label, feature row) rows; 17 significant digits
     so values survive a round-trip exactly."""
-    import csv
-
-    from .ingest import LABEL_NAMES
-
     with open(Path(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["slide_id", "label"] + FEATURE_NAMES)
-        for slide_id, label, fv in rows:
-            writer.writerow(
-                [slide_id, LABEL_NAMES[label]]
-                + [repr(float(v)) for v in fv.flatten()]
-            )
+        for slide_id, label, row in rows:
+            writer.writerow([slide_id, LABEL_NAMES[label]]
+                            + [repr(v) for v in row.tolist()])
 
 
-def read_features_csv(path) -> list[tuple[str, int, FeatureVector]]:
-    import csv
+def read_features_csv(path) -> list[tuple[str, int, np.ndarray]]:
+    """Parse a feature CSV into (slide_id, label, feature row) triples.
 
-    from .ingest import MalformedRow, MissingFile
-
+    Raises MissingFile, MalformedRow on a bad header, column count, label
+    or value (NaN and infinities included), and DuplicateSlideId.
+    """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(path)
     expected = ["slide_id", "label"] + FEATURE_NAMES
     rows = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -241,14 +226,13 @@ def read_features_csv(path) -> list[tuple[str, int, FeatureVector]]:
                 raise MalformedRow(path, line_no, f"expected {len(expected)} columns")
             try:
                 label = parse_label(row[1])
-                values = np.array([float(v) for v in row[2:]])
+                values = [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise MalformedRow(path, line_no, str(exc)) from None
-            fv = FeatureVector(
-                mtr=float(values[0]),
-                mph=values[1:11],
-                lsrl=RegressionLine(float(values[11]), float(values[12])),
-                mcc=values[13:18],
-            )
-            rows.append((row[0], label, fv))
+            if not all(map(math.isfinite, values)):
+                raise MalformedRow(path, line_no, "non-finite feature value")
+            if row[0] in seen:
+                raise DuplicateSlideId(row[0])
+            seen.add(row[0])
+            rows.append((row[0], label, np.array(values)))
     return rows

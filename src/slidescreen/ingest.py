@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 NORMAL = 0
 MALIGNANT = 1
 
@@ -28,6 +30,12 @@ MALIGNANT_THRESHOLD = 0.5
 
 MANIFEST_HEADER = ("slide_id", "label", "predictions_path")
 PATCH_HEADER = ("x", "y", "prob_malignant")
+
+# One record per patch: center coordinates (pixels) and malignancy score.
+PATCH_DTYPE = np.dtype([("x", np.int64), ("y", np.int64),
+                        ("prob_malignant", np.float64)])
+# Coordinates beyond 2**53 would lose precision as float64 distances.
+MAX_COORDINATE = 2**53
 
 
 class IngestError(Exception):
@@ -64,21 +72,13 @@ class DuplicateSlideId(IngestError):
 
 
 @dataclass(frozen=True)
-class PatchPrediction:
-    """One tissue patch: center coordinates (pixels) and malignancy score."""
-
-    x: int
-    y: int
-    prob_malignant: float
-
-
-@dataclass(frozen=True)
 class SlideRecord:
-    """A slide's identifier, ground-truth label and patch predictions."""
+    """A slide's identifier, ground-truth label and patch predictions
+    (a PATCH_DTYPE array, one record per patch in file order)."""
 
     slide_id: str
     label: int
-    patches: tuple[PatchPrediction, ...]
+    patches: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,6 @@ class DatasetManifest:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@dataclass(frozen=True)
-class ValidationSummary:
-    """Read-only health report of a dataset (never fails, only reports)."""
-
-    label_counts: dict[int, int]
-    patch_counts: dict[str, int]
-    empty_slides: tuple[str, ...]
 
 
 def parse_label(token: str) -> int:
@@ -169,8 +160,9 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(tuple(entries))
 
 
-def load_patches(path) -> tuple[PatchPrediction, ...]:
-    """Parse a patch prediction CSV; row order is preserved."""
+def load_patches(path) -> np.ndarray:
+    """Parse a patch prediction CSV into a PATCH_DTYPE array; row order is
+    preserved."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(path)
@@ -185,36 +177,31 @@ def load_patches(path) -> tuple[PatchPrediction, ...]:
             raise MalformedRow(path, line_no, f"bad coordinates {row[:2]!r}") from None
         if x < 0 or y < 0:
             raise MalformedRow(path, line_no, f"negative coordinates ({x}, {y})")
+        if x > MAX_COORDINATE or y > MAX_COORDINATE:
+            raise MalformedRow(path, line_no, f"coordinates ({x}, {y}) too large")
         try:
             prob = float(row[2])
         except ValueError:
             raise MalformedRow(path, line_no, f"bad probability {row[2]!r}") from None
         if not 0.0 <= prob <= 1.0:  # also rejects NaN
             raise ProbabilityOutOfRange(path, line_no, prob)
-        patches.append(PatchPrediction(x, y, prob))
-    return tuple(patches)
+        patches.append((x, y, prob))
+    return np.array(patches, dtype=PATCH_DTYPE)
 
 
 def load_slide(entry: ManifestEntry) -> SlideRecord:
     return SlideRecord(entry.slide_id, entry.label, load_patches(entry.predictions_path))
 
 
-def load_dataset(manifest: DatasetManifest) -> list[SlideRecord]:
-    return [load_slide(entry) for entry in manifest.entries]
-
-
-def write_patches(patches: Iterable[PatchPrediction], path) -> None:
-    """Write a patch CSV; probabilities use repr so re-parsing is exact."""
+def write_patches(patches: np.ndarray, path) -> None:
+    """Write a PATCH_DTYPE array as a patch CSV; probabilities use repr so
+    re-parsing is exact."""
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PATCH_HEADER)
-        for p in patches:
-            writer.writerow([p.x, p.y, repr(p.prob_malignant)])
-
-
-def write_slide(record: SlideRecord, path) -> None:
-    write_patches(record.patches, path)
+        for x, y, prob in patches.tolist():  # Python ints and floats
+            writer.writerow([x, y, repr(prob)])
 
 
 def write_manifest(rows: Iterable[tuple[str, int, str]], path) -> None:
@@ -225,17 +212,3 @@ def write_manifest(rows: Iterable[tuple[str, int, str]], path) -> None:
         writer.writerow(MANIFEST_HEADER)
         for slide_id, label, pred_path in rows:
             writer.writerow([slide_id, LABEL_NAMES[label], pred_path])
-
-
-def validate_dataset(manifest: DatasetManifest) -> ValidationSummary:
-    """Count slides per label and patches per slide; flag empty slides."""
-    label_counts = {NORMAL: 0, MALIGNANT: 0}
-    patch_counts: dict[str, int] = {}
-    empty = []
-    for entry in manifest.entries:
-        label_counts[entry.label] += 1
-        n = len(load_patches(entry.predictions_path))
-        patch_counts[entry.slide_id] = n
-        if n == 0:
-            empty.append(entry.slide_id)
-    return ValidationSummary(label_counts, patch_counts, tuple(empty))

@@ -4,7 +4,7 @@ Supports one graph family: named input branches (stacks of dense+ReLU
 layers), a concatenation of branch outputs with pass-through inputs, and a
 dense head ending in a softmax over the two slide classes. Everything is
 plain float64 numpy; training is full-batch and bit-deterministic for a
-fixed (seed, data, config) triple.
+fixed (seed, data, config) triple at a fixed BLAS thread count.
 
 Softmax probabilities are ordered by class index: column 0 = normal,
 column 1 = malignant.
@@ -13,6 +13,7 @@ column 1 = malignant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -20,7 +21,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 RELU = "relu"
-IDENTITY = "identity"
 SOFTMAX = "softmax"
 
 MODEL_FORMAT = "slidescreen-model"
@@ -44,6 +44,10 @@ class SingleClassDataset(Exception):
 
 
 class ModelFormatError(Exception):
+    pass
+
+
+class TrainingDiverged(Exception):
     pass
 
 
@@ -126,15 +130,12 @@ class TrainConfig:
     epochs: int = 10000
     learning_rate: float = 1e-3
     seed: int = 0
-    optimizer: str = "adam"  # "adam" or "sgd"
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 def _init_layer(rng: np.random.Generator, in_width: int, out_width: int,
@@ -178,8 +179,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     if activation == RELU:
         return np.maximum(z, 0.0)
-    if activation == IDENTITY:
-        return z
     if activation == SOFTMAX:
         return _softmax(z)
     raise InvalidTopology(f"unknown activation {activation!r}")
@@ -274,7 +273,7 @@ def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
     for layer, (a_prev, z) in zip(reversed(net.head), reversed(head_caches)):
         if layer.activation == RELU:
             delta = delta * (z > 0)
-        # softmax delta was combined with the loss above; identity is a no-op
+        # the softmax delta was combined with the loss above
         head_grads.append((delta.T @ a_prev, delta.sum(axis=0)))
         delta = delta @ layer.weights
     head_grads.reverse()
@@ -306,33 +305,32 @@ def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
 
 def train(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
           labels: Sequence[int], config: TrainConfig):
-    """Full-batch training for config.epochs steps.
+    """Full-batch Adam training for config.epochs steps.
 
     Returns (net, loss_trace); the trace records the pre-update loss of
-    every epoch. The graph is mutated in place.
+    every epoch. The graph is mutated in place. Raises TrainingDiverged
+    as soon as the loss is not finite.
     """
     labels = np.asarray(labels, dtype=int)
     if labels.size == 0:
         raise EmptyDataset("training set is empty")
     params = net.parameter_arrays()
-    if config.optimizer == "adam":
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        m = [np.zeros_like(p) for p in params]
-        v = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
     losses = []
     for t in range(1, config.epochs + 1):
         loss, grads = loss_and_gradients(net, inputs, labels)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(
+                f"loss is {loss} at epoch {t} (learning rate {config.learning_rate})")
         losses.append(loss)
-        if config.optimizer == "adam":
-            bc1 = 1.0 - beta1 ** t
-            bc2 = 1.0 - beta2 ** t
-            for p, g, mi, vi in zip(params, grads, m, v):
-                mi += (1.0 - beta1) * (g - mi)
-                vi += (1.0 - beta2) * (g * g - vi)
-                p -= config.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
-        else:
-            for p, g in zip(params, grads):
-                p -= config.learning_rate * g
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for p, g, mi, vi in zip(params, grads, m, v):
+            mi += (1.0 - beta1) * (g - mi)
+            vi += (1.0 - beta2) * (g * g - vi)
+            p -= config.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
     return net, losses
 
 
@@ -381,14 +379,30 @@ def save_model(net: NetworkGraph, path, topology: str,
         fh.write("\n")
 
 
-def _layer_from_doc(doc) -> DenseLayer:
-    weights = np.array(doc["weights"], dtype=float)
-    biases = np.array(doc["biases"], dtype=float)
-    if weights.ndim != 2 or biases.shape != (weights.shape[0],):
-        raise ModelFormatError(f"inconsistent layer shapes {weights.shape}, {biases.shape}")
-    if doc["activation"] not in (RELU, IDENTITY, SOFTMAX):
-        raise ModelFormatError(f"unknown activation {doc['activation']!r}")
-    return DenseLayer(weights, biases, doc["activation"])
+def _layers_from_doc(path, what: str, docs, widths: Sequence[int],
+                     activations: Sequence[str]) -> list[DenseLayer]:
+    """Parse one stack of layers and check it against the spec: layer i
+    maps widths[i] to widths[i + 1] with activations[i], and every
+    parameter is finite."""
+    if len(docs) != len(activations):
+        raise ModelFormatError(
+            f"{path}: {what} has {len(docs)} layers, spec says {len(activations)}")
+    layers = []
+    for i, doc in enumerate(docs):
+        weights = np.array(doc["weights"], dtype=float)
+        biases = np.array(doc["biases"], dtype=float)
+        if weights.shape != (widths[i + 1], widths[i]) or biases.shape != (widths[i + 1],):
+            raise ModelFormatError(
+                f"{path}: {what} layer {i} has shapes {weights.shape}, {biases.shape}, "
+                f"spec says ({widths[i + 1]}, {widths[i]})")
+        if doc["activation"] != activations[i]:
+            raise ModelFormatError(
+                f"{path}: {what} layer {i} activation {doc['activation']!r}, "
+                f"expected {activations[i]!r}")
+        if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
+            raise ModelFormatError(f"{path}: {what} layer {i} has non-finite parameters")
+        layers.append(DenseLayer(weights, biases, activations[i]))
+    return layers
 
 
 def load_model(path):
@@ -419,29 +433,23 @@ def load_model(path):
             head_hidden=tuple(doc["spec"]["head_hidden"]),
             n_outputs=int(doc["spec"]["n_outputs"]),
         )
+        spec.validate()
+        if len(doc["params"]["branches"]) != len(spec.branches):
+            raise ModelFormatError(
+                f"{path}: {len(doc['params']['branches'])} branches, "
+                f"spec says {len(spec.branches)}")
         branches = [
-            [_layer_from_doc(layer) for layer in branch]
-            for branch in doc["params"]["branches"]
+            _layers_from_doc(path, f"branch {bspec.name!r}", layers,
+                             (bspec.input_width,) + bspec.hidden,
+                             [RELU] * len(bspec.hidden))
+            for bspec, layers in zip(spec.branches, doc["params"]["branches"])
         ]
-        head = [_layer_from_doc(layer) for layer in doc["params"]["head"]]
+        head = _layers_from_doc(
+            path, "head", doc["params"]["head"],
+            (spec.concat_width(),) + spec.head_hidden + (spec.n_outputs,),
+            [RELU] * len(spec.head_hidden) + [SOFTMAX])
         topology = doc["topology"]
         meta = doc.get("meta", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidTopology) as exc:
         raise ModelFormatError(f"{path}: malformed model document: {exc}") from None
-    spec.validate()
-    net = NetworkGraph(spec, branches, head)
-    # shape cross-check against the declared spec
-    for bspec, branch in zip(spec.branches, branches):
-        width = bspec.input_width
-        for layer in branch:
-            if layer.weights.shape[1] != width:
-                raise ModelFormatError(f"{path}: branch {bspec.name!r} width mismatch")
-            width = layer.weights.shape[0]
-    width = spec.concat_width()
-    for layer in head:
-        if layer.weights.shape[1] != width:
-            raise ModelFormatError(f"{path}: head width mismatch")
-        width = layer.weights.shape[0]
-    if width != spec.n_outputs:
-        raise ModelFormatError(f"{path}: output width {width} != {spec.n_outputs}")
-    return net, topology, meta
+    return NetworkGraph(spec, branches, head), topology, meta

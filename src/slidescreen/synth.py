@@ -19,10 +19,10 @@ from .ingest import (
     LABEL_NAMES,
     MALIGNANT,
     NORMAL,
-    PatchPrediction,
+    PATCH_DTYPE,
     SlideRecord,
     write_manifest,
-    write_slide,
+    write_patches,
 )
 
 PATCH_SPACING = 100  # px between adjacent patch centers
@@ -97,12 +97,11 @@ def _generate_slide(cfg: SynthConfig, label: int, index: int) -> SlideRecord:
         params = (cfg.malignant_confidence if label == MALIGNANT
                   else cfg.noise_confidence)
         probs[malignant_mask] = _confidence(rng, params, n_mal)
-    slide_id = f"{LABEL_NAMES[label]}_{index:03d}"
-    patches = tuple(
-        PatchPrediction(int(c) * PATCH_SPACING, int(r) * PATCH_SPACING, float(p))
-        for r, c, p in zip(rows, cols, probs)
-    )
-    return SlideRecord(slide_id, label, patches)
+    patches = np.empty(n, dtype=PATCH_DTYPE)
+    patches["x"] = cols * PATCH_SPACING
+    patches["y"] = rows * PATCH_SPACING
+    patches["prob_malignant"] = probs
+    return SlideRecord(f"{LABEL_NAMES[label]}_{index:03d}", label, patches)
 
 
 def generate_dataset(cfg: SynthConfig) -> list[SlideRecord]:
@@ -124,7 +123,7 @@ def write_dataset(records: list[SlideRecord], out_dir) -> Path:
     manifest_rows = []
     for record in records:
         filename = f"{record.slide_id}.csv"
-        write_slide(record, out_dir / filename)
+        write_patches(record.patches, out_dir / filename)
         manifest_rows.append((record.slide_id, record.label, filename))
     manifest_path = out_dir / "manifest.csv"
     write_manifest(manifest_rows, manifest_path)

@@ -1,10 +1,10 @@
-"""The wide-and-deep slide classifier over 18-dimensional feature vectors.
+"""The wide-and-deep slide classifier over (n, 18) feature matrices.
 
 Three deep branches (histogram 10-wide, regression line 2-wide,
 component profile 5-wide), each two hidden layers of 300 ReLU units,
 concatenated with the raw malignant tissue ratio as the 1-wide
 memorization input (concat width 901), followed by a two-layer head and
-a 2-way softmax.
+a 2-way softmax. Each network input is a column slice of the matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FeatureVector
+from .features import LSRL, MCC, MPH, MTR, N_FEATURES
 from .ingest import MALIGNANT, NORMAL
 from .netcore import (
     BranchSpec,
@@ -34,17 +34,21 @@ INPUT_LSRL = "lsrl"
 INPUT_MCC = "mcc"
 INPUT_MTR = "mtr"
 
+# network input -> its column slice of the feature matrix
+INPUT_COLUMNS = {INPUT_MPH: MPH, INPUT_LSRL: LSRL, INPUT_MCC: MCC, INPUT_MTR: MTR}
+
 HIDDEN_WIDTH = 300
+
+
+def _width(name: str) -> int:
+    return INPUT_COLUMNS[name].stop - INPUT_COLUMNS[name].start
 
 
 def widedeep_spec(hidden: int = HIDDEN_WIDTH) -> GraphSpec:
     return GraphSpec(
-        branches=(
-            BranchSpec(INPUT_MPH, 10, (hidden, hidden)),
-            BranchSpec(INPUT_LSRL, 2, (hidden, hidden)),
-            BranchSpec(INPUT_MCC, 5, (hidden, hidden)),
-        ),
-        passthrough=((INPUT_MTR, 1),),
+        branches=tuple(BranchSpec(name, _width(name), (hidden, hidden))
+                       for name in (INPUT_MPH, INPUT_LSRL, INPUT_MCC)),
+        passthrough=((INPUT_MTR, _width(INPUT_MTR)),),
         head_hidden=(hidden, hidden),
         n_outputs=2,
     )
@@ -54,34 +58,33 @@ def build_widedeep(seed: int, hidden: int = HIDDEN_WIDTH) -> NetworkGraph:
     return init_network(widedeep_spec(hidden), seed)
 
 
-def features_to_inputs(fvs: Sequence[FeatureVector]) -> dict[str, np.ndarray]:
-    """Route feature families to their named network inputs."""
-    return {
-        INPUT_MPH: np.array([fv.mph for fv in fvs], dtype=float).reshape(len(fvs), 10),
-        INPUT_LSRL: np.array([[fv.lsrl.m, fv.lsrl.b] for fv in fvs], dtype=float),
-        INPUT_MCC: np.array([fv.mcc for fv in fvs], dtype=float).reshape(len(fvs), 5),
-        INPUT_MTR: np.array([[fv.mtr] for fv in fvs], dtype=float),
-    }
+def features_to_inputs(features) -> dict[str, np.ndarray]:
+    """Route the column slices of an (n, 18) feature matrix (or a
+    sequence of 18-wide rows) to the named network inputs."""
+    X = np.asarray(features, dtype=float).reshape(-1, N_FEATURES)
+    return {name: np.ascontiguousarray(X[:, columns])
+            for name, columns in INPUT_COLUMNS.items()}
 
 
-def predict_proba(net: NetworkGraph, fvs: Sequence[FeatureVector]) -> np.ndarray:
+def predict_proba(net: NetworkGraph, features) -> np.ndarray:
     """p(malignant) per slide."""
-    return forward(net, features_to_inputs(fvs))[:, MALIGNANT]
+    return forward(net, features_to_inputs(features))[:, MALIGNANT]
 
 
-def predict_slide(net: NetworkGraph, fv: FeatureVector) -> tuple[int, float]:
-    """Label and p(malignant); a tie at 0.5 resolves to malignant."""
-    p = float(predict_proba(net, [fv])[0])
+def predict_slide(net: NetworkGraph, row: np.ndarray) -> tuple[int, float]:
+    """Label and p(malignant) of one feature row; a tie at 0.5 resolves
+    to malignant."""
+    p = float(predict_proba(net, row)[0])
     return (MALIGNANT if p >= 0.5 else NORMAL), p
 
 
-def train_widedeep(fvs: Sequence[FeatureVector], labels: Sequence[int],
-                   config: TrainConfig, hidden: int = HIDDEN_WIDTH) -> NetworkGraph:
+def train_widedeep(features, labels: Sequence[int], config: TrainConfig,
+                   hidden: int = HIDDEN_WIDTH) -> NetworkGraph:
     labels = np.asarray(labels, dtype=int)
     if labels.size < 2 or len({NORMAL, MALIGNANT} & set(labels.tolist())) < 2:
         raise SingleClassDataset("training requires examples of both classes")
     net = build_widedeep(config.seed, hidden)
-    net, _ = train(net, features_to_inputs(fvs), labels, config)
+    net, _ = train(net, features_to_inputs(features), labels, config)
     return net
 
 
@@ -93,12 +96,12 @@ class WideDeepClassifier:
         self.hidden = hidden
         self.net: NetworkGraph | None = None
 
-    def fit(self, fvs: Sequence[FeatureVector], labels: Sequence[int], seed: int):
-        self.net = train_widedeep(fvs, labels, replace(self.config, seed=seed),
+    def fit(self, X, labels: Sequence[int], seed: int):
+        self.net = train_widedeep(X, labels, replace(self.config, seed=seed),
                                   self.hidden)
         return self
 
-    def predict_proba(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         if self.net is None:
             raise RuntimeError("classifier not fitted")
-        return predict_proba(self.net, fvs)
+        return predict_proba(self.net, X)

@@ -16,67 +16,65 @@ from slidescreen.baselines import (
     write_comparison_csv,
 )
 from slidescreen.evaluation import LabeledExample
-from slidescreen.features import FeatureVector, RegressionLine
+from slidescreen.features import LSRL, MCC, MPH, MTR, N_FEATURES
 from slidescreen.ingest import MALIGNANT, NORMAL
 from slidescreen.netcore import SingleClassDataset, TrainConfig
 
 from oracles import knn_proba
 
 
-def random_fv(rng, shift=0.0):
-    return FeatureVector(
-        mtr=float(rng.random() + shift),
-        mph=rng.random(10) + shift,
-        lsrl=RegressionLine(float(rng.normal()), float(rng.normal())),
-        mcc=rng.random(5),
-    )
+def random_row(rng, shift=0.0):
+    row = np.empty(N_FEATURES)
+    row[MTR] = rng.random() + shift
+    row[MPH] = rng.random(10) + shift
+    row[LSRL] = rng.normal(), rng.normal()
+    row[MCC] = rng.random(5)
+    return row
 
 
 def separable_dataset(rng, n_per_class=15, gap=2.0):
     """Class 1 shifted up by `gap` in mtr and histogram space."""
-    fvs, labels = [], []
+    rows, labels = [], []
     for _ in range(n_per_class):
-        fvs.append(random_fv(rng))
+        rows.append(random_row(rng))
         labels.append(NORMAL)
-        fvs.append(random_fv(rng, shift=gap))
+        rows.append(random_row(rng, shift=gap))
         labels.append(MALIGNANT)
-    return fvs, np.array(labels)
+    return np.array(rows), np.array(labels)
 
 
 class TestKnn:
     def test_fit_memorizes_training_set(self):
         rng = np.random.default_rng(0)
-        fvs, labels = separable_dataset(rng, n_per_class=5)
-        clf = KnnClassifier().fit(fvs, labels)
+        X, labels = separable_dataset(rng, n_per_class=5)
+        clf = KnnClassifier().fit(X, labels)
         assert clf.X.shape == (10, 18)
-        np.testing.assert_array_equal(
-            clf.X, np.array([fv.flatten() for fv in fvs]))
+        np.testing.assert_array_equal(clf.X, X)
         np.testing.assert_array_equal(clf.y, labels)
 
     def test_vote_fraction(self):
         # 4 malignant + 1 normal among the 5 nearest -> 0.8
-        fvs = [FeatureVector(v, np.zeros(10), RegressionLine(0, 0), np.zeros(5))
-               for v in (0.1, 0.11, 0.12, 0.13, 0.5, 0.9)]
+        X = np.zeros((6, N_FEATURES))
+        X[:, MTR] = np.array([[0.1, 0.11, 0.12, 0.13, 0.5, 0.9]]).T
         labels = [MALIGNANT, MALIGNANT, MALIGNANT, MALIGNANT, NORMAL, NORMAL]
-        clf = KnnClassifier(k=5).fit(fvs, labels)
-        assert clf.predict_proba([fvs[0]])[0] == 0.8
+        clf = KnnClassifier(k=5).fit(X, labels)
+        assert clf.predict_proba(X[:1])[0] == 0.8
 
     def test_k1_training_accuracy_is_perfect(self):
         rng = np.random.default_rng(1)
-        fvs, labels = separable_dataset(rng, gap=0.0)  # overlapping classes
-        clf = KnnClassifier(k=1).fit(fvs, labels)
-        probs = clf.predict_proba(fvs)
+        X, labels = separable_dataset(rng, gap=0.0)  # overlapping classes
+        clf = KnnClassifier(k=1).fit(X, labels)
+        probs = clf.predict_proba(X)
         np.testing.assert_array_equal((probs >= 0.5).astype(int), labels)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2)
-        fvs, labels = separable_dataset(rng, n_per_class=20, gap=0.3)
-        clf = KnnClassifier(k=5).fit(fvs, labels)
-        X = np.array([fv.flatten() for fv in fvs])
+        X, labels = separable_dataset(rng, n_per_class=20, gap=0.3)
+        clf = KnnClassifier(k=5).fit(X, labels)
         for _ in range(100):
-            q = random_fv(rng, shift=float(rng.uniform(0, 0.3)))
-            got = clf.predict_proba([q])[0]
-            want = knn_proba(X, labels, q.flatten(), k=5)
+            q = random_row(rng, shift=float(rng.uniform(0, 0.3)))
+            got = clf.predict_proba(q[None, :])[0]
+            want = knn_proba(X, labels, q, k=5)
             assert got == want
 
     def test_unfitted_rejected(self):
@@ -91,54 +89,54 @@ class TestKnn:
 class TestLinearSvm:
     def test_separable_training_accuracy(self):
         rng = np.random.default_rng(3)
-        fvs, labels = separable_dataset(rng)
-        clf = LinearSvmClassifier().fit(fvs, labels, seed=4)
-        preds = (clf.predict_proba(fvs) >= 0.5).astype(int)
+        X, labels = separable_dataset(rng)
+        clf = LinearSvmClassifier().fit(X, labels, seed=4)
+        preds = (clf.predict_proba(X) >= 0.5).astype(int)
         np.testing.assert_array_equal(preds, labels)
 
     def test_zero_margin_maps_to_half(self):
         rng = np.random.default_rng(4)
-        fvs, labels = separable_dataset(rng, n_per_class=4)
-        clf = LinearSvmClassifier().fit(fvs, labels, seed=4)
+        X, labels = separable_dataset(rng, n_per_class=4)
+        clf = LinearSvmClassifier().fit(X, labels, seed=4)
         clf.w[:] = 0.0
         clf.b = 0.0
-        assert clf.predict_proba([fvs[0]])[0] == 0.5
+        assert clf.predict_proba(X[:1])[0] == 0.5
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(5)
-        fvs, labels = separable_dataset(rng)
-        a = LinearSvmClassifier().fit(fvs, labels, seed=6)
-        b = LinearSvmClassifier().fit(fvs, labels, seed=6)
+        X, labels = separable_dataset(rng)
+        a = LinearSvmClassifier().fit(X, labels, seed=6)
+        b = LinearSvmClassifier().fit(X, labels, seed=6)
         np.testing.assert_array_equal(a.w, b.w)
         assert a.b == b.b
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(6)
-        fvs = [random_fv(rng) for _ in range(4)]
+        X = np.array([random_row(rng) for _ in range(4)])
         with pytest.raises(SingleClassDataset):
-            LinearSvmClassifier().fit(fvs, [MALIGNANT] * 4)
+            LinearSvmClassifier().fit(X, [MALIGNANT] * 4)
 
 
 class TestRandomForest:
     def test_same_seed_identical_forest(self):
         rng = np.random.default_rng(7)
-        fvs, labels = separable_dataset(rng, n_per_class=10)
-        a = RandomForestClassifier(n_trees=25).fit(fvs, labels, seed=8)
-        b = RandomForestClassifier(n_trees=25).fit(fvs, labels, seed=8)
+        X, labels = separable_dataset(rng, n_per_class=10)
+        a = RandomForestClassifier(n_trees=25).fit(X, labels, seed=8)
+        b = RandomForestClassifier(n_trees=25).fit(X, labels, seed=8)
         assert a.trees == b.trees  # recursive dataclass equality
 
     def test_unanimous_vote_is_one(self):
         rng = np.random.default_rng(8)
-        fvs, labels = separable_dataset(rng, gap=3.0)
-        clf = RandomForestClassifier(n_trees=30).fit(fvs, labels, seed=9)
-        deep_malignant = random_fv(rng, shift=3.0)
-        assert clf.predict_proba([deep_malignant])[0] == 1.0
+        X, labels = separable_dataset(rng, gap=3.0)
+        clf = RandomForestClassifier(n_trees=30).fit(X, labels, seed=9)
+        deep_malignant = random_row(rng, shift=3.0)
+        assert clf.predict_proba(deep_malignant[None, :])[0] == 1.0
 
     def test_tree_order_invariance(self):
         rng = np.random.default_rng(9)
-        fvs, labels = separable_dataset(rng, gap=0.4)
-        clf = RandomForestClassifier(n_trees=20).fit(fvs, labels, seed=10)
-        queries = [random_fv(rng) for _ in range(10)]
+        X, labels = separable_dataset(rng, gap=0.4)
+        clf = RandomForestClassifier(n_trees=20).fit(X, labels, seed=10)
+        queries = np.array([random_row(rng) for _ in range(10)])
         before = clf.predict_proba(queries)
         perm = rng.permutation(len(clf.trees))
         clf.trees = [clf.trees[i] for i in perm]
@@ -146,41 +144,41 @@ class TestRandomForest:
 
     def test_training_accuracy_on_separable_data(self):
         rng = np.random.default_rng(10)
-        fvs, labels = separable_dataset(rng)
-        clf = RandomForestClassifier().fit(fvs, labels, seed=11)
-        preds = (clf.predict_proba(fvs) >= 0.5).astype(int)
+        X, labels = separable_dataset(rng)
+        clf = RandomForestClassifier().fit(X, labels, seed=11)
+        preds = (clf.predict_proba(X) >= 0.5).astype(int)
         np.testing.assert_array_equal(preds, labels)
 
     def test_unfitted_and_single_class_rejected(self):
         rng = np.random.default_rng(11)
         with pytest.raises(NotFitted):
-            RandomForestClassifier().predict_proba([random_fv(rng)])
+            RandomForestClassifier().predict_proba(random_row(rng)[None, :])
         with pytest.raises(SingleClassDataset):
-            RandomForestClassifier().fit([random_fv(rng)] * 3, [NORMAL] * 3)
+            RandomForestClassifier().fit(np.tile(random_row(rng), (3, 1)), [NORMAL] * 3)
 
 
 class TestAnn:
     def test_separable_training_accuracy(self):
         rng = np.random.default_rng(12)
-        fvs, labels = separable_dataset(rng)
+        X, labels = separable_dataset(rng)
         clf = AnnClassifier(TrainConfig(epochs=150, learning_rate=1e-2),
-                            hidden=(16, 16)).fit(fvs, labels, seed=13)
-        preds = (clf.predict_proba(fvs) >= 0.5).astype(int)
+                            hidden=(16, 16)).fit(X, labels, seed=13)
+        preds = (clf.predict_proba(X) >= 0.5).astype(int)
         np.testing.assert_array_equal(preds, labels)
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(13)
         with pytest.raises(SingleClassDataset):
             AnnClassifier(TrainConfig(epochs=1)).fit(
-                [random_fv(rng)] * 3, [MALIGNANT] * 3)
+                np.tile(random_row(rng), (3, 1)), [MALIGNANT] * 3)
 
 
 class TestComparison:
     def make_examples(self, n_per_class=12):
         rng = np.random.default_rng(14)
-        fvs, labels = separable_dataset(rng, n_per_class=n_per_class, gap=1.0)
-        return [LabeledExample(f"s{i}", fv, int(lab))
-                for i, (fv, lab) in enumerate(zip(fvs, labels))]
+        X, labels = separable_dataset(rng, n_per_class=n_per_class, gap=1.0)
+        return [LabeledExample(f"s{i}", row, int(lab))
+                for i, (row, lab) in enumerate(zip(X, labels))]
 
     def test_single_classifier_table(self, tmp_path):
         examples = self.make_examples()

@@ -47,10 +47,9 @@ class TestExtractCommand:
         rows = read_features_csv(out)
         manifest = load_manifest(dataset)
         assert len(rows) == len(manifest.entries)
-        for entry, (slide_id, label, fv) in zip(manifest.entries, rows):
+        for entry, (slide_id, label, row) in zip(manifest.entries, rows):
             assert slide_id == entry.slide_id
-            expected = extract_features(load_slide(entry))
-            np.testing.assert_array_equal(fv.flatten(), expected.flatten())
+            np.testing.assert_array_equal(row, extract_features(load_slide(entry)))
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert run("extract", "--manifest", tmp_path / "gone.csv",
@@ -107,6 +106,14 @@ class TestCvCommand:
             assert (tmp_path / "r1" / name).read_bytes() == \
                 (tmp_path / "r2" / name).read_bytes()
 
+    def test_diverged_training_is_pipeline_failure(self, dataset, tmp_path):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("cv", "--manifest", dataset, "--model", "widedeep",
+                       "--k", 3, "--seed", 7, "--epochs", 5, "--lr", 1e300,
+                       "--out", tmp_path / "cv")
+        assert code == 1
+        assert not (tmp_path / "cv").exists()
+
     def test_features_input_equivalent_to_manifest(self, dataset, tmp_path):
         feats = tmp_path / "features.csv"
         assert run("extract", "--manifest", dataset, "--out", feats) == 0
@@ -116,6 +123,37 @@ class TestCvCommand:
                    "--seed", 7, "--out", tmp_path / "via-manifest") == 0
         assert (tmp_path / "via-features" / "report.csv").read_bytes() == \
             (tmp_path / "via-manifest" / "report.csv").read_bytes()
+
+
+class TestFeatureCsvBoundary:
+    """A feature CSV with a non-finite cell or a repeated slide id is a
+    validation error in every command that reads one."""
+
+    COMMANDS = {
+        "cv": ["cv", "--model", "knn", "--k", 3, "--seed", 7, "--out", "out"],
+        "compare": ["compare", "--models", "knn", "--k", 3, "--seed", 7,
+                    "--out", "out"],
+        "train": ["train", "--seed", 7, "--epochs", 2, "--out", "model.json"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("defect", ["nan", "duplicate"])
+    def test_rejected_with_exit_3(self, dataset, tmp_path, command, defect):
+        feats = tmp_path / "features.csv"
+        assert run("extract", "--manifest", dataset, "--out", feats) == 0
+        lines = feats.read_text(encoding="utf-8").splitlines()
+        if defect == "nan":
+            cells = lines[2].split(",")
+            cells[4] = "nan"
+            lines[2] = ",".join(cells)
+        else:
+            lines.append(lines[1])
+        feats.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = [tmp_path / a if a in ("out", "model.json") else a
+                for a in self.COMMANDS[command]]
+        assert run(*argv, "--features", feats) == 3
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestCompareCommand:

@@ -22,7 +22,7 @@ from slidescreen.evaluation import (
     write_report_csv,
     write_report_json,
 )
-from slidescreen.features import FeatureVector, RegressionLine
+from slidescreen.features import MTR, N_FEATURES
 from slidescreen.ingest import MALIGNANT, NORMAL
 
 from oracles import pairwise_auc
@@ -170,18 +170,20 @@ class TestRocAuc:
             roc_auc([0.1, 0.2], [1, 1])
 
 
-def fv_with_mtr(mtr):
-    return FeatureVector(mtr, np.zeros(10), RegressionLine(0.0, 0.0), np.zeros(5))
+def row_with_mtr(mtr):
+    row = np.zeros(N_FEATURES)
+    row[MTR] = mtr
+    return row
 
 
 class MtrThresholdClassifier:
     """Deterministic trainless classifier: score = the slide's mtr."""
 
-    def fit(self, fvs, labels, seed=0):
+    def fit(self, X, labels, seed=0):
         return self
 
-    def predict_proba(self, fvs):
-        return np.array([fv.mtr for fv in fvs])
+    def predict_proba(self, X):
+        return X[:, MTR].ravel()
 
 
 def mtr_dataset(n_per_class=12):
@@ -189,9 +191,9 @@ def mtr_dataset(n_per_class=12):
     examples = []
     for i in range(n_per_class):
         examples.append(LabeledExample(
-            f"m{i}", fv_with_mtr(float(rng.uniform(0.6, 0.95))), MALIGNANT))
+            f"m{i}", row_with_mtr(float(rng.uniform(0.6, 0.95))), MALIGNANT))
         examples.append(LabeledExample(
-            f"n{i}", fv_with_mtr(float(rng.uniform(0.05, 0.4))), NORMAL))
+            f"n{i}", row_with_mtr(float(rng.uniform(0.05, 0.4))), NORMAL))
     return examples
 
 

@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from slidescreen.features import (
+    FEATURE_NAMES,
+    LSRL,
+    MCC,
     MCC_RADII,
-    FeatureVector,
+    MPH,
+    MTR,
+    N_FEATURES,
     connected_components,
     extract_features,
     least_squares_regression_line,
@@ -16,7 +21,14 @@ from slidescreen.features import (
     read_features_csv,
     write_features_csv,
 )
-from slidescreen.ingest import MALIGNANT, NORMAL, PatchPrediction, SlideRecord
+from slidescreen.ingest import (
+    MALIGNANT,
+    NORMAL,
+    PATCH_DTYPE,
+    DuplicateSlideId,
+    MalformedRow,
+    SlideRecord,
+)
 
 from oracles import as_partition, grid_refine_line, line_sse, naive_components
 
@@ -24,7 +36,8 @@ from oracles import as_partition, grid_refine_line, line_sse, naive_components
 def slide(probs, coords=None, label=MALIGNANT, slide_id="s"):
     if coords is None:
         coords = [(100 * i, 0) for i in range(len(probs))]
-    patches = tuple(PatchPrediction(x, y, p) for (x, y), p in zip(coords, probs))
+    patches = np.array([(x, y, p) for (x, y), p in zip(coords, probs)],
+                       dtype=PATCH_DTYPE)
     return SlideRecord(slide_id, label, patches)
 
 
@@ -185,19 +198,18 @@ class TestMccProfile:
 
 class TestExtractFeatures:
     def test_empty_slide_is_all_zero(self):
-        fv = extract_features(slide([]))
-        np.testing.assert_array_equal(fv.flatten(), np.zeros(18))
+        np.testing.assert_array_equal(extract_features(slide([])), np.zeros(18))
 
     def test_all_malignant_uniform_slide(self):
         # 3x3 grid of patches, all prob 0.97: mtr 1, all mass in bin 9,
         # one cluster at every radius
         coords = [(100 * c, 100 * r) for r in range(3) for c in range(3)]
-        fv = extract_features(slide([0.97] * 9, coords))
-        assert fv.mtr == 1.0
-        assert fv.mph[9] == 1.0
-        np.testing.assert_array_equal(fv.mcc, np.full(5, 1 / 9))
-        line = least_squares_regression_line(fv.mph)
-        assert fv.lsrl == line
+        row = extract_features(slide([0.97] * 9, coords))
+        assert row[MTR].tolist() == [1.0]
+        assert row[MPH][9] == 1.0
+        np.testing.assert_array_equal(row[MCC], np.full(5, 1 / 9))
+        line = least_squares_regression_line(row[MPH])
+        assert tuple(row[LSRL]) == line
 
     def test_composition_matches_parts(self):
         rng = np.random.default_rng(12)
@@ -205,20 +217,22 @@ class TestExtractFeatures:
                   for x, y in rng.integers(0, 15, size=(60, 2))]
         probs = list(rng.random(60))
         s = slide(probs, coords)
-        fv = extract_features(s)
-        assert fv.mtr == malignant_tissue_ratio(s)
-        np.testing.assert_array_equal(fv.mph, malignant_probability_histogram(s))
-        assert fv.lsrl == least_squares_regression_line(fv.mph)
-        np.testing.assert_array_equal(fv.mcc, mcc_profile(s))
+        row = extract_features(s)
+        assert row[MTR].tolist() == [malignant_tissue_ratio(s)]
+        np.testing.assert_array_equal(row[MPH], malignant_probability_histogram(s))
+        assert tuple(row[LSRL]) == least_squares_regression_line(row[MPH])
+        np.testing.assert_array_equal(row[MCC], mcc_profile(s))
 
-    def test_flatten_order_and_width(self):
-        fv = extract_features(slide([0.9, 0.1]))
-        flat = fv.flatten()
-        assert flat.shape == (18,)
-        assert flat[0] == fv.mtr
-        np.testing.assert_array_equal(flat[1:11], fv.mph)
-        assert (flat[11], flat[12]) == fv.lsrl
-        np.testing.assert_array_equal(flat[13:], fv.mcc)
+    def test_row_width_and_column_slices(self):
+        row = extract_features(slide([0.9, 0.1]))
+        assert row.shape == (N_FEATURES,) == (18,)
+        assert row.dtype == np.float64
+        # the slices tile the row in order: MTR, MPH, LSRL, MCC
+        assert [(c.start, c.stop) for c in (MTR, MPH, LSRL, MCC)] == \
+            [(0, 1), (1, 11), (11, 13), (13, 18)]
+        for columns, prefix in ((MTR, "mtr"), (MPH, "mph_"), (LSRL, "lsrl_"),
+                                (MCC, "mcc_")):
+            assert all(name.startswith(prefix) for name in FEATURE_NAMES[columns])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(44)
@@ -226,9 +240,9 @@ class TestExtractFeatures:
         probs = list(rng.random(50))
         s = slide(probs, coords)
         perm = rng.permutation(50)
-        shuffled = SlideRecord("s", MALIGNANT, tuple(s.patches[i] for i in perm))
-        np.testing.assert_array_equal(extract_features(s).flatten(),
-                                      extract_features(shuffled).flatten())
+        shuffled = SlideRecord("s", MALIGNANT, s.patches[perm])
+        np.testing.assert_array_equal(extract_features(s),
+                                      extract_features(shuffled))
 
 
 def test_features_csv_round_trip(tmp_path):
@@ -244,5 +258,26 @@ def test_features_csv_round_trip(tmp_path):
     write_features_csv(rows, path)
     loaded = read_features_csv(path)
     assert [(sid, lab) for sid, lab, _ in loaded] == [(sid, lab) for sid, lab, _ in rows]
-    for (_, _, fv_in), (_, _, fv_out) in zip(rows, loaded):
-        np.testing.assert_array_equal(fv_in.flatten(), fv_out.flatten())
+    for (_, _, row_in), (_, _, row_out) in zip(rows, loaded):
+        np.testing.assert_array_equal(row_in, row_out)
+
+
+def _features_csv(path, rows):
+    header = ",".join(["slide_id", "label"] + FEATURE_NAMES)
+    path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_features_csv_non_finite_rejected(tmp_path, cell):
+    good = "s1,normal," + ",".join(["0.0"] * 18)
+    bad = "s2,malignant," + ",".join(["0.5"] * 5 + [cell] + ["0.5"] * 12)
+    with pytest.raises(MalformedRow) as err:
+        read_features_csv(_features_csv(tmp_path / "f.csv", [good, bad]))
+    assert err.value.line_no == 3
+
+
+def test_features_csv_duplicate_slide_id_rejected(tmp_path):
+    row = "s1,normal," + ",".join(["0.0"] * 18)
+    with pytest.raises(DuplicateSlideId):
+        read_features_csv(_features_csv(tmp_path / "f.csv", [row, row]))

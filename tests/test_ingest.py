@@ -1,23 +1,22 @@
 """Manifest and patch-file loading, validation and round-trips."""
 
+import numpy as np
 import pytest
 
 from slidescreen.ingest import (
     MALIGNANT,
     NORMAL,
+    PATCH_DTYPE,
     DuplicateSlideId,
     MalformedRow,
     MissingFile,
-    PatchPrediction,
     ProbabilityOutOfRange,
-    SlideRecord,
     load_manifest,
     load_patches,
     load_slide,
     parse_label,
-    validate_dataset,
     write_manifest,
-    write_slide,
+    write_patches,
 )
 
 
@@ -99,7 +98,7 @@ def test_crlf_accepted(tmp_path):
     manifest = load_manifest(path)
     assert len(manifest) == 1
     slide = load_slide(manifest.entries[0])
-    assert slide.patches == (PatchPrediction(1, 2, 0.5),)
+    assert slide.patches.tolist() == [(1, 2, 0.5)]
 
 
 def test_load_slide_three_rows(tmp_path):
@@ -110,8 +109,9 @@ def test_load_slide_three_rows(tmp_path):
     ))
     slide = load_slide(manifest.entries[0])
     assert len(slide.patches) == 3
-    assert slide.patches[0] == PatchPrediction(0, 0, 0.9)
-    assert slide.patches[2].prob_malignant == 1.0  # order preserved
+    assert slide.patches.dtype == PATCH_DTYPE
+    assert slide.patches[0].tolist() == (0, 0, 0.9)
+    assert slide.patches["prob_malignant"][2] == 1.0  # order preserved
 
 
 def test_probability_out_of_range(tmp_path):
@@ -129,13 +129,22 @@ def test_probability_nan_rejected(tmp_path):
 
 def test_empty_patch_file(tmp_path):
     path = make_patch_file(tmp_path / "a.csv", [])
-    assert load_patches(path) == ()
+    patches = load_patches(path)
+    assert len(patches) == 0
+    assert patches.dtype == PATCH_DTYPE
 
 
 def test_negative_coordinate_rejected(tmp_path):
     path = make_patch_file(tmp_path / "a.csv", [(-100, 0, 0.5)])
     with pytest.raises(MalformedRow):
         load_patches(path)
+
+
+def test_oversized_coordinate_rejected(tmp_path):
+    path = make_patch_file(tmp_path / "a.csv", [(0, 0, 0.5), (2**63, 0, 0.5)])
+    with pytest.raises(MalformedRow) as err:
+        load_patches(path)
+    assert err.value.line_no == 3
 
 
 def test_wrong_column_count(tmp_path):
@@ -153,16 +162,13 @@ def test_bad_header(tmp_path):
 
 
 def test_slide_round_trip(tmp_path):
-    record = SlideRecord(
-        "s1",
-        MALIGNANT,
-        tuple(PatchPrediction(x * 100, 0, p)
-              for x, p in enumerate([0.0, 0.123456789012345, 1.0, 0.5])),
+    patches = np.array(
+        [(x * 100, 0, p) for x, p in enumerate([0.0, 0.123456789012345, 1.0, 0.5])],
+        dtype=PATCH_DTYPE,
     )
     path = tmp_path / "out.csv"
-    write_slide(record, path)
-    reparsed = SlideRecord("s1", MALIGNANT, load_patches(path))
-    assert reparsed == record
+    write_patches(patches, path)
+    np.testing.assert_array_equal(load_patches(path), patches)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -174,39 +180,6 @@ def test_manifest_round_trip(tmp_path):
     assert [(e.slide_id, e.label) for e in manifest.entries] == [
         ("s1", MALIGNANT), ("s2", NORMAL)
     ]
-
-
-def test_validate_dataset_five_slide_tally(tmp_path):
-    # hand tally: 3 malignant + 2 normal, patch counts 2/0/1/3/0
-    sizes = {"s1": 2, "s2": 0, "s3": 1, "s4": 3, "s5": 0}
-    labels = {"s1": "malignant", "s2": "malignant", "s3": "malignant",
-              "s4": "normal", "s5": "normal"}
-    rows = []
-    for sid, n in sizes.items():
-        make_patch_file(tmp_path / f"{sid}.csv", [(i, i, 0.5) for i in range(n)])
-        rows.append(f"{sid},{labels[sid]},{sid}.csv")
-    manifest = load_manifest(write(
-        tmp_path / "m.csv",
-        "slide_id,label,predictions_path\n" + "\n".join(rows) + "\n",
-    ))
-    summary = validate_dataset(manifest)
-    assert summary.label_counts == {MALIGNANT: 3, NORMAL: 2}
-    assert summary.patch_counts == sizes
-    assert summary.empty_slides == ("s2", "s5")
-
-
-def test_validate_dataset_at_reference_scale(tmp_path):
-    # 158 normal + 174 malignant entries tally to exactly those counts
-    make_patch_file(tmp_path / "p.csv", [(0, 0, 0.5)])
-    rows = [f"m{i},malignant,p.csv" for i in range(174)]
-    rows += [f"n{i},normal,p.csv" for i in range(158)]
-    manifest = load_manifest(write(
-        tmp_path / "m.csv",
-        "slide_id,label,predictions_path\n" + "\n".join(rows) + "\n",
-    ))
-    summary = validate_dataset(manifest)
-    assert summary.label_counts == {MALIGNANT: 174, NORMAL: 158}
-    assert summary.empty_slides == ()
 
 
 def test_parse_label_rejects_unknown():

@@ -1,6 +1,7 @@
 """Network engine: initialization, forward pass, gradients, training,
 and model-file round-trips."""
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from slidescreen.netcore import (
     ModelFormatError,
     ShapeMismatch,
     TrainConfig,
+    TrainingDiverged,
     forward,
     init_network,
     load_model,
@@ -213,13 +215,11 @@ class TestTrain:
         for a, b in zip(*results):
             np.testing.assert_array_equal(a, b)
 
-    def test_sgd_optimizer_also_learns(self):
+    def test_non_finite_loss_raises(self):
         inputs, labels = self.separable_data(20)
         net = init_network(self.spec2d(), 2)
-        net, losses = train(net, inputs, labels,
-                            TrainConfig(epochs=200, learning_rate=1e-1,
-                                        seed=2, optimizer="sgd"))
-        assert losses[-1] < losses[0]
+        with pytest.raises(TrainingDiverged), np.errstate(over="ignore", invalid="ignore"):
+            train(net, inputs, labels, TrainConfig(epochs=5, learning_rate=1e300))
 
 
 class TestModelFile:
@@ -252,3 +252,47 @@ class TestModelFile:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "absent.json")
+
+
+class TestModelFileAgainstSpec:
+    """A model file whose parameters disagree with its own spec, or that
+    holds values no training run can produce, is rejected on load."""
+
+    def saved_doc(self, tmp_path):
+        net = init_network(small_widedeep_spec(width=4), 5)
+        path = tmp_path / "model.json"
+        save_model(net, path, "widedeep-v1")
+        return path, json.loads(path.read_text(encoding="utf-8"))
+
+    def assert_rejected(self, path, doc):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_layer_counts_must_match_spec(self, tmp_path):
+        path, doc = self.saved_doc(tmp_path)
+        del doc["params"]["branches"][-1]
+        self.assert_rejected(path, doc)
+        path, doc = self.saved_doc(tmp_path)
+        doc["params"]["branches"][0].append(doc["params"]["branches"][0][0])
+        self.assert_rejected(path, doc)
+        path, doc = self.saved_doc(tmp_path)
+        del doc["params"]["head"][0]
+        self.assert_rejected(path, doc)
+
+    def test_activations_must_be_relu_then_softmax(self, tmp_path):
+        path, doc = self.saved_doc(tmp_path)
+        doc["params"]["head"][-1]["activation"] = "relu"
+        self.assert_rejected(path, doc)
+        path, doc = self.saved_doc(tmp_path)
+        doc["params"]["branches"][1][0]["activation"] = "softmax"
+        self.assert_rejected(path, doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, tmp_path, value):
+        path, doc = self.saved_doc(tmp_path)
+        doc["params"]["branches"][2][0]["weights"][0][0] = value
+        self.assert_rejected(path, doc)
+        path, doc = self.saved_doc(tmp_path)
+        doc["params"]["head"][-1]["biases"][1] = value
+        self.assert_rejected(path, doc)

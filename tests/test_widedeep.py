@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slidescreen import synth
-from slidescreen.features import FeatureVector, RegressionLine, extract_features
+from slidescreen.features import LSRL, MCC, MPH, MTR, N_FEATURES, extract_features
 from slidescreen.ingest import MALIGNANT, NORMAL
 from slidescreen.netcore import (
     SingleClassDataset,
@@ -32,33 +32,33 @@ from slidescreen.widedeep import (
 EXPECTED_PARAMETERS = 638402
 
 
-def random_fv(rng) -> FeatureVector:
-    return FeatureVector(
-        mtr=float(rng.random()),
-        mph=rng.random(10),
-        lsrl=RegressionLine(float(rng.normal()), float(rng.normal())),
-        mcc=rng.random(5),
-    )
+def random_row(rng) -> np.ndarray:
+    row = np.empty(N_FEATURES)
+    row[MTR] = rng.random()
+    row[MPH] = rng.random(10)
+    row[LSRL] = rng.normal(), rng.normal()
+    row[MCC] = rng.random(5)
+    return row
 
 
-def zero_fv() -> FeatureVector:
-    return FeatureVector(0.0, np.zeros(10), RegressionLine(0.0, 0.0), np.zeros(5))
+def zero_row() -> np.ndarray:
+    return np.zeros(N_FEATURES)
 
 
 @pytest.fixture(scope="module")
 def synthetic_examples():
     cfg = synth.SynthConfig(n_slides_per_label=100, seed=555)
     records = synth.generate_dataset(cfg)
-    fvs = [extract_features(r) for r in records]
+    X = np.array([extract_features(r) for r in records])
     labels = np.array([r.label for r in records])
-    return fvs, labels
+    return X, labels
 
 
 @pytest.fixture(scope="module")
 def trained_model(synthetic_examples):
-    fvs, labels = synthetic_examples
+    X, labels = synthetic_examples
     config = TrainConfig(epochs=500, learning_rate=1e-3, seed=99)
-    return train_widedeep(fvs, labels, config)
+    return train_widedeep(X, labels, config)
 
 
 class TestTopology:
@@ -89,7 +89,7 @@ class TestPrediction:
         for layer in net.layers():
             layer.weights[:] = 0.0
             layer.biases[:] = 0.0
-        label, p = predict_slide(net, zero_fv())
+        label, p = predict_slide(net, zero_row())
         assert p == 0.5
         assert label == MALIGNANT
 
@@ -97,9 +97,9 @@ class TestPrediction:
         rng = np.random.default_rng(2)
         net = build_widedeep(7)
         for _ in range(20):
-            fv = random_fv(rng)
-            label, p = predict_slide(net, fv)
-            probs = forward(net, features_to_inputs([fv]))[0]
+            row = random_row(rng)
+            label, p = predict_slide(net, row)
+            probs = forward(net, features_to_inputs(row))[0]
             if p != 0.5:
                 assert label == int(np.argmax(probs))
 
@@ -115,12 +115,12 @@ class TestPrediction:
         # zero false positives, so the degenerate region is in-distribution
         cfg = synth.SynthConfig(n_slides_per_label=60, noise_rate=0.002, seed=321)
         records = synth.generate_dataset(cfg)
-        fvs = [extract_features(r) for r in records]
-        labels = [r.label for r in records]
-        assert any(fv.mtr == 0.0 for fv, lab in zip(fvs, labels) if lab == NORMAL)
-        net = train_widedeep(fvs, labels,
+        X = np.array([extract_features(r) for r in records])
+        labels = np.array([r.label for r in records])
+        assert (X[labels == NORMAL, MTR] == 0.0).any()
+        net = train_widedeep(X, labels,
                              TrainConfig(epochs=300, learning_rate=1e-3, seed=9))
-        label, p = predict_slide(net, zero_fv())
+        label, p = predict_slide(net, zero_row())
         assert label == NORMAL
         assert p < 0.5
 
@@ -128,33 +128,33 @@ class TestPrediction:
 class TestTraining:
     def test_training_accuracy_on_synthetic_dataset(self, trained_model,
                                                     synthetic_examples):
-        fvs, labels = synthetic_examples
-        preds = (predict_proba(trained_model, fvs) >= 0.5).astype(int)
+        X, labels = synthetic_examples
+        preds = (predict_proba(trained_model, X) >= 0.5).astype(int)
         assert (preds == labels).mean() >= 0.99
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(3)
-        fvs = [random_fv(rng) for _ in range(4)]
+        X = np.array([random_row(rng) for _ in range(4)])
         with pytest.raises(SingleClassDataset):
-            train_widedeep(fvs, [MALIGNANT] * 4, TrainConfig(epochs=1))
+            train_widedeep(X, [MALIGNANT] * 4, TrainConfig(epochs=1))
 
     def test_deterministic_training(self):
         rng = np.random.default_rng(4)
-        fvs = [random_fv(rng) for _ in range(6)]
+        X = np.array([random_row(rng) for _ in range(6)])
         labels = [0, 1, 0, 1, 0, 1]
         config = TrainConfig(epochs=3, learning_rate=1e-3, seed=5)
-        a = train_widedeep(fvs, labels, config, hidden=16)
-        b = train_widedeep(fvs, labels, config, hidden=16)
+        a = train_widedeep(X, labels, config, hidden=16)
+        b = train_widedeep(X, labels, config, hidden=16)
         for pa, pb in zip(a.parameter_arrays(), b.parameter_arrays()):
             np.testing.assert_array_equal(pa, pb)
 
     def test_classifier_adapter(self):
         rng = np.random.default_rng(6)
-        fvs = [random_fv(rng) for _ in range(8)]
+        X = np.array([random_row(rng) for _ in range(8)])
         labels = np.array([0, 1] * 4)
         clf = WideDeepClassifier(TrainConfig(epochs=2), hidden=8)
-        clf.fit(fvs, labels, seed=1)
-        scores = clf.predict_proba(fvs)
+        clf.fit(X, labels, seed=1)
+        scores = clf.predict_proba(X)
         assert scores.shape == (8,)
         assert ((scores >= 0) & (scores <= 1)).all()
 
@@ -169,21 +169,22 @@ class TestRouting:
         concat = net.spec.concat_width()
         net.head[0].weights[:, : concat - 1] = 0.0
 
-        def logits_for(mtr, fv):
-            fv = FeatureVector(mtr, fv.mph, fv.lsrl, fv.mcc)
-            probs = forward(net, features_to_inputs([fv]))[0]
+        def logits_for(mtr, row):
+            row = row.copy()
+            row[MTR] = mtr
+            probs = forward(net, features_to_inputs(row))[0]
             # recover the logit difference (softmax is shift-invariant)
             return np.log(probs[1]) - np.log(probs[0])
 
-        base_fv = random_fv(rng)
-        other_fv = random_fv(rng)
-        l0 = logits_for(0.0, base_fv)
-        l1 = logits_for(1.0, base_fv)
+        base_row = random_row(rng)
+        other_row = random_row(rng)
+        l0 = logits_for(0.0, base_row)
+        l1 = logits_for(1.0, base_row)
         for t in (0.25, 0.5, 0.75):
-            lt = logits_for(t, base_fv)
+            lt = logits_for(t, base_row)
             assert lt == pytest.approx(l0 + t * (l1 - l0), abs=1e-9)
             # and independent of every deep input
-            assert logits_for(t, other_fv) == pytest.approx(lt, abs=1e-12)
+            assert logits_for(t, other_row) == pytest.approx(lt, abs=1e-12)
 
     def test_mph_gradients_ignore_mcc_at_zero_mcc_branch(self):
         from slidescreen.netcore import loss_and_gradients
@@ -193,10 +194,11 @@ class TestRouting:
         for layer in net.branches[2]:  # the mcc branch
             layer.weights[:] = 0.0
             layer.biases[:] = 0.0
-        fv_a = random_fv(rng)
-        fv_b = FeatureVector(fv_a.mtr, fv_a.mph, fv_a.lsrl, rng.random(5))
-        _, grads_a = loss_and_gradients(net, features_to_inputs([fv_a]), [1])
-        _, grads_b = loss_and_gradients(net, features_to_inputs([fv_b]), [1])
+        row_a = random_row(rng)
+        row_b = row_a.copy()
+        row_b[MCC] = rng.random(5)
+        _, grads_a = loss_and_gradients(net, features_to_inputs(row_a), [1])
+        _, grads_b = loss_and_gradients(net, features_to_inputs(row_b), [1])
         # mph branch owns the first four parameter arrays (2 layers x W, b)
         for ga, gb in zip(grads_a[:4], grads_b[:4]):
             np.testing.assert_array_equal(ga, gb)
@@ -206,10 +208,10 @@ class TestSerialization:
     def test_round_trip_with_topology_tag(self, tmp_path):
         rng = np.random.default_rng(14)
         net = build_widedeep(15, hidden=8)
-        fvs = [random_fv(rng) for _ in range(3)]
-        before = predict_proba(net, fvs)
+        X = np.array([random_row(rng) for _ in range(3)])
+        before = predict_proba(net, X)
         path = tmp_path / "model.json"
         save_model(net, path, WIDEDEEP_TAG, meta={"seed": 15})
         loaded, topology, _ = load_model(path)
         assert topology == WIDEDEEP_TAG
-        np.testing.assert_array_equal(before, predict_proba(loaded, fvs))
+        np.testing.assert_array_equal(before, predict_proba(loaded, X))
