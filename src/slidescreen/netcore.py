@@ -12,6 +12,7 @@ column 1 = malignant.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -24,7 +25,7 @@ RELU = "relu"
 SOFTMAX = "softmax"
 
 MODEL_FORMAT = "slidescreen-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class InvalidTopology(Exception):
@@ -309,7 +310,8 @@ def train(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
 
     Returns (net, loss_trace); the trace records the pre-update loss of
     every epoch. The graph is mutated in place. Raises TrainingDiverged
-    as soon as the loss is not finite.
+    as soon as the loss is not finite; the overflow that leads there is
+    not also reported as a numpy warning.
     """
     labels = np.asarray(labels, dtype=int)
     if labels.size == 0:
@@ -319,27 +321,39 @@ def train(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     losses = []
-    for t in range(1, config.epochs + 1):
-        loss, grads = loss_and_gradients(net, inputs, labels)
-        if not math.isfinite(loss):
-            raise TrainingDiverged(
-                f"loss is {loss} at epoch {t} (learning rate {config.learning_rate})")
-        losses.append(loss)
-        bc1 = 1.0 - beta1 ** t
-        bc2 = 1.0 - beta2 ** t
-        for p, g, mi, vi in zip(params, grads, m, v):
-            mi += (1.0 - beta1) * (g - mi)
-            vi += (1.0 - beta2) * (g * g - vi)
-            p -= config.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.epochs + 1):
+            loss, grads = loss_and_gradients(net, inputs, labels)
+            if not math.isfinite(loss):
+                raise TrainingDiverged(
+                    f"loss is {loss} at epoch {t} (learning rate {config.learning_rate})")
+            losses.append(loss)
+            bc1 = 1.0 - beta1 ** t
+            bc2 = 1.0 - beta2 ** t
+            for p, g, mi, vi in zip(params, grads, m, v):
+                mi += (1.0 - beta1) * (g - mi)
+                vi += (1.0 - beta2) * (g * g - vi)
+                p -= config.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
     return net, losses
+
+
+def _encode_array(arr: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _layer_doc(layer: DenseLayer) -> dict:
+    return {"activation": layer.activation,
+            "weights": _encode_array(layer.weights),
+            "biases": _encode_array(layer.biases)}
 
 
 def save_model(net: NetworkGraph, path, topology: str,
                meta: dict | None = None) -> None:
     """Write a self-describing JSON model file.
 
-    Floats are serialized with repr (shortest round-trip form), so a
-    reloaded model reproduces forward outputs bit-exactly.
+    Each layer's weights and biases are one base64 string of the array's
+    little-endian float64 bytes in row-major order, so a reloaded model
+    holds bit-identical parameters and reproduces forward outputs exactly.
     """
     doc = {
         "format": MODEL_FORMAT,
@@ -353,30 +367,28 @@ def save_model(net: NetworkGraph, path, topology: str,
         },
         "meta": meta or {},
         "params": {
-            "branches": [
-                [
-                    {
-                        "activation": layer.activation,
-                        "weights": layer.weights.tolist(),
-                        "biases": layer.biases.tolist(),
-                    }
-                    for layer in branch
-                ]
-                for branch in net.branches
-            ],
-            "head": [
-                {
-                    "activation": layer.activation,
-                    "weights": layer.weights.tolist(),
-                    "biases": layer.biases.tolist(),
-                }
-                for layer in net.head
-            ],
+            "branches": [[_layer_doc(layer) for layer in branch]
+                         for branch in net.branches],
+            "head": [_layer_doc(layer) for layer in net.head],
         },
     }
     with open(Path(path), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def _decode_array(path, what: str, text, shape: tuple[int, ...]) -> np.ndarray:
+    """One base64 parameter string as a writable float64 array of the
+    given shape; the byte count must be exactly what the shape needs."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ModelFormatError(f"{path}: {what} is not valid base64: {exc}") from None
+    expected = 8 * math.prod(shape)
+    if len(raw) != expected:
+        raise ModelFormatError(
+            f"{path}: {what} holds {len(raw)} bytes, spec shape {shape} needs {expected}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def _layers_from_doc(path, what: str, docs, widths: Sequence[int],
@@ -389,12 +401,10 @@ def _layers_from_doc(path, what: str, docs, widths: Sequence[int],
             f"{path}: {what} has {len(docs)} layers, spec says {len(activations)}")
     layers = []
     for i, doc in enumerate(docs):
-        weights = np.array(doc["weights"], dtype=float)
-        biases = np.array(doc["biases"], dtype=float)
-        if weights.shape != (widths[i + 1], widths[i]) or biases.shape != (widths[i + 1],):
-            raise ModelFormatError(
-                f"{path}: {what} layer {i} has shapes {weights.shape}, {biases.shape}, "
-                f"spec says ({widths[i + 1]}, {widths[i]})")
+        weights = _decode_array(path, f"{what} layer {i} weights", doc["weights"],
+                                (widths[i + 1], widths[i]))
+        biases = _decode_array(path, f"{what} layer {i} biases", doc["biases"],
+                               (widths[i + 1],))
         if doc["activation"] != activations[i]:
             raise ModelFormatError(
                 f"{path}: {what} layer {i} activation {doc['activation']!r}, "
@@ -420,8 +430,9 @@ def load_model(path):
             raise ModelFormatError(f"{path}: unknown format {doc.get('format')!r}")
         if doc["format_version"] != MODEL_FORMAT_VERSION:
             raise ModelFormatError(
-                f"{path}: unsupported version {doc['format_version']!r}"
-            )
+                f"{path}: unsupported model format version {doc['format_version']!r} "
+                f"(this build reads version {MODEL_FORMAT_VERSION}); "
+                f"re-run `slidescreen train` to write a new model file")
         spec = GraphSpec(
             branches=tuple(
                 BranchSpec(b["name"], int(b["input_width"]), tuple(b["hidden"]))

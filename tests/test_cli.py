@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from slidescreen import netcore, widedeep
 from slidescreen.cli import main
 from slidescreen.features import extract_features, read_features_csv
 from slidescreen.ingest import load_manifest, load_slide
@@ -106,13 +107,15 @@ class TestCvCommand:
             assert (tmp_path / "r1" / name).read_bytes() == \
                 (tmp_path / "r2" / name).read_bytes()
 
-    def test_diverged_training_is_pipeline_failure(self, dataset, tmp_path):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run("cv", "--manifest", dataset, "--model", "widedeep",
-                       "--k", 3, "--seed", 7, "--epochs", 5, "--lr", 1e300,
-                       "--out", tmp_path / "cv")
+    def test_diverged_training_is_pipeline_failure(self, dataset, tmp_path, capsys):
+        capsys.readouterr()
+        code = run("cv", "--manifest", dataset, "--model", "widedeep",
+                   "--k", 3, "--seed", 7, "--epochs", 5, "--lr", 1e300,
+                   "--out", tmp_path / "cv")
         assert code == 1
         assert not (tmp_path / "cv").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("slidescreen: pipeline failure:")
 
     def test_features_input_equivalent_to_manifest(self, dataset, tmp_path):
         feats = tmp_path / "features.csv"
@@ -209,6 +212,19 @@ class TestTrainPredict:
         slide = tmp_path / "s.csv"
         slide.write_text("x,y,prob_malignant\n0,0,0.9\n", encoding="utf-8")
         assert run("predict", "--model", model, "--slide", slide) == 2
+
+    def test_version_1_model_is_io_error(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        netcore.save_model(widedeep.build_widedeep(seed=0), model, widedeep.WIDEDEEP_TAG)
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc["format_version"] = 1
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        slide = tmp_path / "s.csv"
+        slide.write_text("x,y,prob_malignant\n0,0,0.9\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("predict", "--model", model, "--slide", slide) == 2
+        err = capsys.readouterr().err
+        assert "version 1" in err and "slidescreen train" in err
 
     def test_predict_before_model_exists(self, tmp_path):
         slide = tmp_path / "s.csv"

@@ -1,6 +1,8 @@
 """Network engine: initialization, forward pass, gradients, training,
 and model-file round-trips."""
 
+import base64
+import hashlib
 import json
 import math
 
@@ -218,8 +220,15 @@ class TestTrain:
     def test_non_finite_loss_raises(self):
         inputs, labels = self.separable_data(20)
         net = init_network(self.spec2d(), 2)
-        with pytest.raises(TrainingDiverged), np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged):
             train(net, inputs, labels, TrainConfig(epochs=5, learning_rate=1e300))
+
+
+def parameter_sha256(net):
+    h = hashlib.sha256()
+    for p in net.parameter_arrays():
+        h.update(p.tobytes())
+    return h.hexdigest()
 
 
 class TestModelFile:
@@ -234,6 +243,10 @@ class TestModelFile:
         loaded, topology, meta = load_model(path)
         assert topology == "widedeep-v1"
         assert meta == {"seed": 77}
+        assert parameter_sha256(loaded) == parameter_sha256(net)
+        for p in loaded.parameter_arrays():
+            assert p.dtype == np.float64
+            assert p.flags.writeable and p.flags.c_contiguous
         after = forward(loaded, inputs)
         np.testing.assert_array_equal(before, after)
 
@@ -269,6 +282,13 @@ class TestModelFileAgainstSpec:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    @staticmethod
+    def plant(layer, key, index, value):
+        """Overwrite one float64 of an encoded parameter array."""
+        values = np.frombuffer(base64.b64decode(layer[key]), dtype="<f8").copy()
+        values[index] = value
+        layer[key] = base64.b64encode(values.tobytes()).decode("ascii")
+
     def test_layer_counts_must_match_spec(self, tmp_path):
         path, doc = self.saved_doc(tmp_path)
         del doc["params"]["branches"][-1]
@@ -291,8 +311,33 @@ class TestModelFileAgainstSpec:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_parameters_rejected(self, tmp_path, value):
         path, doc = self.saved_doc(tmp_path)
-        doc["params"]["branches"][2][0]["weights"][0][0] = value
+        self.plant(doc["params"]["branches"][2][0], "weights", 0, value)
         self.assert_rejected(path, doc)
         path, doc = self.saved_doc(tmp_path)
-        doc["params"]["head"][-1]["biases"][1] = value
+        self.plant(doc["params"]["head"][-1], "biases", 1, value)
         self.assert_rejected(path, doc)
+
+    @pytest.mark.parametrize("bad", ["!", "*", " ", "\n", "\u00e9"])
+    def test_non_base64_characters_rejected(self, tmp_path, bad):
+        # inserted, not replacing, so a decoder that skips them would
+        # still find the right byte count
+        path, doc = self.saved_doc(tmp_path)
+        layer = doc["params"]["branches"][0][0]
+        layer["weights"] = layer["weights"][:4] + bad + layer["weights"][4:]
+        self.assert_rejected(path, doc)
+
+    @pytest.mark.parametrize("extra", [-8, 7])
+    def test_payload_length_must_match_spec(self, tmp_path, extra):
+        path, doc = self.saved_doc(tmp_path)
+        layer = doc["params"]["head"][0]
+        raw = base64.b64decode(layer["weights"])
+        raw = raw[:extra] if extra < 0 else raw + bytes(extra)
+        layer["weights"] = base64.b64encode(raw).decode("ascii")
+        self.assert_rejected(path, doc)
+
+    def test_version_1_document_rejected(self, tmp_path):
+        path, doc = self.saved_doc(tmp_path)
+        doc["format_version"] = 1
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="version 1.*slidescreen train"):
+            load_model(path)
