@@ -26,6 +26,7 @@ from .evaluation import EvaluationReport, LabeledExample, cross_validate
 from .features import N_FEATURES
 from .ingest import MALIGNANT, NORMAL
 from .netcore import (
+    BranchSpec,
     GraphSpec,
     SingleClassDataset,
     TrainConfig,
@@ -221,8 +222,8 @@ class AnnClassifier:
     def fit(self, X, labels: Sequence[int], seed: int = 0):
         labels = np.asarray(labels, dtype=int)
         _require_both_classes(labels)
-        spec = GraphSpec(branches=(), passthrough=(("features", N_FEATURES),),
-                         head_hidden=tuple(self.hidden), n_outputs=2)
+        spec = GraphSpec(branches=(BranchSpec("features", N_FEATURES),),
+                         head_hidden=tuple(self.hidden))
         net = init_network(spec, seed)
         config = replace(self.config, seed=seed)
         self.net, _ = train(net, {"features": X}, labels, config)

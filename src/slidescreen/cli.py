@@ -35,13 +35,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_dataset_args(sub, jobs=True):
+def _add_dataset_args(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--manifest", type=Path, help="manifest CSV of slides")
     group.add_argument("--features", type=Path, help="precomputed feature CSV")
-    if jobs:
-        sub.add_argument("--jobs", type=int, default=1,
-                         help="parallel workers (default 1)")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="parallel workers (default 1)")
 
 
 def _add_train_args(sub):
@@ -155,13 +154,13 @@ def _load_examples(args) -> list[evaluation.LabeledExample]:
         rows = features.read_features_csv(args.features)
     else:
         manifest = ingest.load_manifest(args.manifest)
-        rows = _extract_all(manifest, getattr(args, "jobs", 1))
+        rows = _extract_all(manifest, args.jobs)
     return [evaluation.LabeledExample(slide_id, row, label)
             for slide_id, label, row in rows]
 
 
 def _check_jobs(args) -> None:
-    if getattr(args, "jobs", 1) < 1:
+    if args.jobs < 1:
         raise UsageError("--jobs must be >= 1")
 
 
@@ -196,6 +195,9 @@ def cmd_cv(args) -> int:
 def cmd_compare(args) -> int:
     _check_jobs(args)
     _check_k(args)
+    repeated = sorted({m for m in args.models if args.models.count(m) > 1})
+    if repeated:
+        raise UsageError(f"--models names {', '.join(repeated)} more than once")
     config = _train_config(args)
     examples = _load_examples(args)
     reports = baselines.run_comparison(examples, args.k, args.seed, config,
@@ -226,6 +228,11 @@ def cmd_predict(args) -> int:
         raise netcore.ModelFormatError(
             f"{args.model}: topology {topology!r} is not {widedeep.WIDEDEEP_TAG!r}"
         )
+    expected = widedeep.widedeep_spec().input_widths()
+    if net.spec.input_widths() != expected:
+        raise netcore.ModelFormatError(
+            f"{args.model}: model inputs {net.spec.input_widths()} are not "
+            f"the wide-and-deep inputs {expected}")
     patches = ingest.load_patches(args.slide)
     slide = ingest.SlideRecord(args.slide.stem, ingest.NORMAL, patches)
     label, p = widedeep.predict_slide(net, features.extract_features(slide))

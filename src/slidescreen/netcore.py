@@ -1,10 +1,12 @@
 """Minimal dense-network engine: forward pass, analytic gradients, training.
 
-Supports one graph family: named input branches (stacks of dense+ReLU
-layers), a concatenation of branch outputs with pass-through inputs, and a
-dense head ending in a softmax over the two slide classes. Everything is
-plain float64 numpy; training is full-batch and bit-deterministic for a
-fixed (seed, data, config) triple at a fixed BLAS thread count.
+The one building block is a stack of dense layers. Each named input
+feeds a branch, a stack of dense+ReLU layers; a branch with no layers
+passes its input straight on. The branch outputs are concatenated in
+declaration order and feed the head, a stack of dense+ReLU layers ending
+in a softmax over the N_CLASSES slide classes. Everything is plain
+float64 numpy; training is full-batch and bit-deterministic for a fixed
+(seed, data, config) triple at a fixed BLAS thread count.
 
 Softmax probabilities are ordered by class index: column 0 = normal,
 column 1 = malignant.
@@ -25,7 +27,9 @@ RELU = "relu"
 SOFTMAX = "softmax"
 
 MODEL_FORMAT = "slidescreen-model"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
+
+N_CLASSES = 2
 
 
 class InvalidTopology(Exception):
@@ -56,44 +60,39 @@ class TrainingDiverged(Exception):
 class BranchSpec:
     name: str
     input_width: int
-    hidden: tuple[int, ...]
+    hidden: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Topology description; the concatenation takes branch outputs in
-    declaration order followed by pass-through inputs."""
+    """Topology description; the head takes the branch outputs
+    concatenated in declaration order."""
 
     branches: tuple[BranchSpec, ...]
-    passthrough: tuple[tuple[str, int], ...] = ()
     head_hidden: tuple[int, ...] = ()
-    n_outputs: int = 2
 
     def input_widths(self) -> dict[str, int]:
-        widths = {b.name: b.input_width for b in self.branches}
-        for name, width in self.passthrough:
-            widths[name] = width
-        return widths
+        return {b.name: b.input_width for b in self.branches}
 
-    def concat_width(self) -> int:
-        branch_out = sum(b.hidden[-1] if b.hidden else b.input_width
-                         for b in self.branches)
-        return branch_out + sum(w for _, w in self.passthrough)
+    def stacks(self) -> list[tuple[str, tuple[int, ...], tuple[str, ...]]]:
+        """(what, widths, activations) of every stack in canonical order,
+        the branches then the head: layer i maps widths[i] to
+        widths[i + 1] with activations[i], and widths[-1] is the stack's
+        output width."""
+        stacks = [(f"branch {b.name!r}", (b.input_width,) + b.hidden,
+                   (RELU,) * len(b.hidden)) for b in self.branches]
+        concat = sum(widths[-1] for _, widths, _ in stacks)
+        stacks.append(("head", (concat,) + self.head_hidden + (N_CLASSES,),
+                       (RELU,) * len(self.head_hidden) + (SOFTMAX,)))
+        return stacks
 
     def validate(self) -> None:
-        names = [b.name for b in self.branches] + [n for n, _ in self.passthrough]
+        names = [b.name for b in self.branches]
         if len(set(names)) != len(names):
             raise InvalidTopology(f"duplicate input names in {names}")
         if not names:
             raise InvalidTopology("graph has no inputs")
-        widths = (
-            [b.input_width for b in self.branches]
-            + [w for b in self.branches for w in b.hidden]
-            + [w for _, w in self.passthrough]
-            + list(self.head_hidden)
-            + [self.n_outputs]
-        )
-        if any(w < 1 for w in widths):
+        if any(w < 1 for _, widths, _ in self.stacks() for w in widths):
             raise InvalidTopology(f"non-positive layer width in {self}")
 
 
@@ -154,21 +153,10 @@ def init_network(spec: GraphSpec, seed: int) -> NetworkGraph:
     """
     spec.validate()
     rng = np.random.default_rng(seed)
-    branches = []
-    for bspec in spec.branches:
-        layers = []
-        width = bspec.input_width
-        for hidden in bspec.hidden:
-            layers.append(_init_layer(rng, width, hidden, RELU))
-            width = hidden
-        branches.append(layers)
-    head = []
-    width = spec.concat_width()
-    for hidden in spec.head_hidden:
-        head.append(_init_layer(rng, width, hidden, RELU))
-        width = hidden
-    head.append(_init_layer(rng, width, spec.n_outputs, SOFTMAX))
-    return NetworkGraph(spec, branches, head)
+    stacks = [[_init_layer(rng, widths[i], widths[i + 1], activation)
+               for i, activation in enumerate(activations)]
+              for _, widths, activations in spec.stacks()]
+    return NetworkGraph(spec, stacks[:-1], stacks[-1])
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -209,36 +197,33 @@ def _check_inputs(net: NetworkGraph, inputs: Mapping[str, np.ndarray]) -> dict[s
     return out
 
 
-def _forward_cached(net: NetworkGraph, inputs: dict[str, np.ndarray]):
-    """Run the graph, keeping (a_prev, z) per layer for backprop."""
-    branch_caches = []
-    branch_outputs = []
-    for bspec, layers in zip(net.spec.branches, net.branches):
-        a = inputs[bspec.name]
-        caches = []
-        for layer in layers:
-            z = a @ layer.weights.T + layer.biases
-            caches.append((a, z))
-            a = _activate(z, layer.activation)
-        branch_caches.append(caches)
-        branch_outputs.append(a)
-    # spec.validate() guarantees at least one input feeds the concat
-    a = np.concatenate(
-        branch_outputs + [inputs[name] for name, _ in net.spec.passthrough],
-        axis=1,
-    )
-    head_caches = []
-    for layer in net.head:
+def _stack_forward(layers: Sequence[DenseLayer], a: np.ndarray):
+    """Run one stack on its input; returns its output and the (a_prev, z)
+    of every layer for backprop. An empty stack returns its input."""
+    caches = []
+    for layer in layers:
         z = a @ layer.weights.T + layer.biases
-        head_caches.append((a, z))
+        caches.append((a, z))
         a = _activate(z, layer.activation)
-    return a, branch_caches, head_caches
+    return a, caches
+
+
+def _forward_cached(net: NetworkGraph, inputs: dict[str, np.ndarray]):
+    """Run the graph; returns the class probabilities and the caches of
+    every stack in canonical order (the branches, then the head)."""
+    outputs, caches = [], []
+    for bspec, layers in zip(net.spec.branches, net.branches):
+        a, stack_caches = _stack_forward(layers, inputs[bspec.name])
+        outputs.append(a)
+        caches.append(stack_caches)
+    # spec.validate() guarantees at least one input feeds the concat
+    probs, head_caches = _stack_forward(net.head, np.concatenate(outputs, axis=1))
+    return probs, caches + [head_caches]
 
 
 def forward(net: NetworkGraph, inputs: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Class probabilities, shape (n, n_outputs); rows sum to 1."""
-    checked = _check_inputs(net, inputs)
-    probs, _, _ = _forward_cached(net, checked)
+    """Class probabilities, shape (n, N_CLASSES); rows sum to 1."""
+    probs, _ = _forward_cached(net, _check_inputs(net, inputs))
     return probs
 
 
@@ -246,6 +231,20 @@ def _log_softmax_loss(z: np.ndarray, labels: np.ndarray) -> float:
     zmax = z.max(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     return float(np.mean(lse - z[np.arange(z.shape[0]), labels]))
+
+
+def _stack_backward(layers: Sequence[DenseLayer], caches, delta: np.ndarray):
+    """Backprop through one stack. delta is d(loss)/d(stack output), or
+    d(loss)/d(z) where the last layer is the softmax, whose delta is
+    combined with the loss. Returns the flat [dW, db, ...] of the stack's
+    layers in order, and d(loss)/d(stack input)."""
+    grads = []
+    for layer, (a_prev, z) in zip(reversed(layers), reversed(caches)):
+        if layer.activation == RELU:
+            delta = delta * (z > 0)
+        grads.append((delta.T @ a_prev, delta.sum(axis=0)))
+        delta = delta @ layer.weights
+    return [g for pair in reversed(grads) for g in pair], delta
 
 
 def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
@@ -259,49 +258,27 @@ def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
     n = next(iter(checked.values())).shape[0]
     if labels.shape != (n,):
         raise ShapeMismatch(f"labels shape {labels.shape} != ({n},)")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= net.spec.n_outputs:
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= N_CLASSES:
         raise ShapeMismatch("label outside class range")
 
-    probs, branch_caches, head_caches = _forward_cached(net, checked)
-    z_final = head_caches[-1][1]
-    loss = _log_softmax_loss(z_final, labels)
+    probs, caches = _forward_cached(net, checked)
+    loss = _log_softmax_loss(caches[-1][-1][1], labels)
 
     onehot = np.zeros_like(probs)
     onehot[np.arange(n), labels] = 1.0
     delta = (probs - onehot) / n  # d(loss)/d(z_final), mean already applied
-
-    head_grads = []
-    for layer, (a_prev, z) in zip(reversed(net.head), reversed(head_caches)):
-        if layer.activation == RELU:
-            delta = delta * (z > 0)
-        # the softmax delta was combined with the loss above
-        head_grads.append((delta.T @ a_prev, delta.sum(axis=0)))
-        delta = delta @ layer.weights
-    head_grads.reverse()
+    head_grads, delta = _stack_backward(net.head, caches[-1], delta)
 
     # split the concat gradient back into per-branch slices
-    branch_grads = []
-    offset = 0
-    for bspec, layers, caches in zip(net.spec.branches, net.branches, branch_caches):
-        out_width = layers[-1].weights.shape[0] if layers else bspec.input_width
-        d_branch = delta[:, offset:offset + out_width]
-        offset += out_width
-        grads = []
-        for layer, (a_prev, z) in zip(reversed(layers), reversed(caches)):
-            if layer.activation == RELU:
-                d_branch = d_branch * (z > 0)
-            grads.append((d_branch.T @ a_prev, d_branch.sum(axis=0)))
-            d_branch = d_branch @ layer.weights
-        grads.reverse()
-        branch_grads.append(grads)
-
     flat = []
-    for grads in branch_grads:
-        for dw, db in grads:
-            flat.extend([dw, db])
-    for dw, db in head_grads:
-        flat.extend([dw, db])
-    return loss, flat
+    offset = 0
+    for layers, stack_caches, (_, widths, _) in zip(net.branches, caches,
+                                                     net.spec.stacks()):
+        grads, _ = _stack_backward(layers, stack_caches,
+                                   delta[:, offset:offset + widths[-1]])
+        offset += widths[-1]
+        flat += grads
+    return loss, flat + head_grads
 
 
 def train(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
@@ -361,9 +338,7 @@ def save_model(net: NetworkGraph, path, topology: str,
         "topology": topology,
         "spec": {
             "branches": [asdict(b) for b in net.spec.branches],
-            "passthrough": [list(p) for p in net.spec.passthrough],
             "head_hidden": list(net.spec.head_hidden),
-            "n_outputs": net.spec.n_outputs,
         },
         "meta": meta or {},
         "params": {
@@ -438,29 +413,20 @@ def load_model(path):
                 BranchSpec(b["name"], int(b["input_width"]), tuple(b["hidden"]))
                 for b in doc["spec"]["branches"]
             ),
-            passthrough=tuple(
-                (name, int(width)) for name, width in doc["spec"]["passthrough"]
-            ),
             head_hidden=tuple(doc["spec"]["head_hidden"]),
-            n_outputs=int(doc["spec"]["n_outputs"]),
         )
         spec.validate()
         if len(doc["params"]["branches"]) != len(spec.branches):
             raise ModelFormatError(
                 f"{path}: {len(doc['params']['branches'])} branches, "
                 f"spec says {len(spec.branches)}")
-        branches = [
-            _layers_from_doc(path, f"branch {bspec.name!r}", layers,
-                             (bspec.input_width,) + bspec.hidden,
-                             [RELU] * len(bspec.hidden))
-            for bspec, layers in zip(spec.branches, doc["params"]["branches"])
+        stacks = [
+            _layers_from_doc(path, what, layer_docs, widths, activations)
+            for (what, widths, activations), layer_docs
+            in zip(spec.stacks(), [*doc["params"]["branches"], doc["params"]["head"]])
         ]
-        head = _layers_from_doc(
-            path, "head", doc["params"]["head"],
-            (spec.concat_width(),) + spec.head_hidden + (spec.n_outputs,),
-            [RELU] * len(spec.head_hidden) + [SOFTMAX])
         topology = doc["topology"]
         meta = doc.get("meta", {})
     except (KeyError, TypeError, ValueError, InvalidTopology) as exc:
         raise ModelFormatError(f"{path}: malformed model document: {exc}") from None
-    return NetworkGraph(spec, branches, head), topology, meta
+    return NetworkGraph(spec, stacks[:-1], stacks[-1]), topology, meta

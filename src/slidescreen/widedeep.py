@@ -1,10 +1,10 @@
 """The wide-and-deep slide classifier over (n, 18) feature matrices.
 
 Three deep branches (histogram 10-wide, regression line 2-wide,
-component profile 5-wide), each two hidden layers of 300 ReLU units,
-concatenated with the raw malignant tissue ratio as the 1-wide
-memorization input (concat width 901), followed by a two-layer head and
-a 2-way softmax. Each network input is a column slice of the matrix.
+component profile 5-wide), each two hidden layers of 300 ReLU units, and
+the wide branch, the raw 1-wide malignant tissue ratio with no hidden
+layers, concatenated (width 901) into a two-layer head and a 2-way
+softmax. Each network input is a column slice of the matrix.
 """
 
 from __future__ import annotations
@@ -47,10 +47,9 @@ def _width(name: str) -> int:
 def widedeep_spec(hidden: int = HIDDEN_WIDTH) -> GraphSpec:
     return GraphSpec(
         branches=tuple(BranchSpec(name, _width(name), (hidden, hidden))
-                       for name in (INPUT_MPH, INPUT_LSRL, INPUT_MCC)),
-        passthrough=((INPUT_MTR, _width(INPUT_MTR)),),
+                       for name in (INPUT_MPH, INPUT_LSRL, INPUT_MCC))
+        + (BranchSpec(INPUT_MTR, _width(INPUT_MTR)),),
         head_hidden=(hidden, hidden),
-        n_outputs=2,
     )
 
 

@@ -147,8 +147,8 @@ def test_c4_gradient_correctness():
     t0 = time.time()
     spec = GraphSpec(
         branches=(BranchSpec("mph", 10, (8,)), BranchSpec("lsrl", 2, (8,)),
-                  BranchSpec("mcc", 5, (8,))),
-        passthrough=(("mtr", 1),), head_hidden=(8,), n_outputs=2,
+                  BranchSpec("mcc", 5, (8,)), BranchSpec("mtr", 1)),
+        head_hidden=(8,),
     )
     worst = 0.0
     for trial in range(20):

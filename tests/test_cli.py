@@ -172,6 +172,13 @@ class TestCompareCommand:
         assert run("compare", "--manifest", dataset, "--models", "boosting",
                    "--seed", 7, "--out", tmp_path / "cmp") == 64
 
+    def test_repeated_model_is_usage_error(self, dataset, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("compare", "--manifest", dataset, "--models", "knn", "svm", "knn",
+                   "--seed", 7, "--out", tmp_path / "cmp") == 64
+        assert "knn" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
 
 class TestTrainPredict:
     def test_train_then_predict_malignant_slide(self, tmp_path):
@@ -225,6 +232,19 @@ class TestTrainPredict:
         assert run("predict", "--model", model, "--slide", slide) == 2
         err = capsys.readouterr().err
         assert "version 1" in err and "slidescreen train" in err
+
+    def test_model_with_other_inputs_is_io_error(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        netcore.save_model(widedeep.build_widedeep(seed=0), model, widedeep.WIDEDEEP_TAG)
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc["spec"]["branches"][0]["name"] = "histogram"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        slide = tmp_path / "s.csv"
+        slide.write_text("x,y,prob_malignant\n0,0,0.9\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("predict", "--model", model, "--slide", slide) == 2
+        err = capsys.readouterr().err
+        assert "histogram" in err and "wide-and-deep inputs" in err
 
     def test_predict_before_model_exists(self, tmp_path):
         slide = tmp_path / "s.csv"

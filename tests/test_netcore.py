@@ -30,18 +30,17 @@ from oracles import finite_difference_gradients, max_relative_error
 
 
 def tiny_spec(hidden=(4,)):
-    return GraphSpec(branches=(BranchSpec("x", 3, hidden),),
-                     passthrough=(("w", 1),), head_hidden=(4,), n_outputs=2)
+    return GraphSpec(branches=(BranchSpec("x", 3, hidden), BranchSpec("w", 1)),
+                     head_hidden=(4,))
 
 
 def small_widedeep_spec(width=8):
     return GraphSpec(
         branches=(BranchSpec("mph", 10, (width,)),
                   BranchSpec("lsrl", 2, (width,)),
-                  BranchSpec("mcc", 5, (width,))),
-        passthrough=(("mtr", 1),),
+                  BranchSpec("mcc", 5, (width,)),
+                  BranchSpec("mtr", 1)),
         head_hidden=(width,),
-        n_outputs=2,
     )
 
 
@@ -104,7 +103,7 @@ class TestForward:
 
     def test_hand_computed_two_by_two(self):
         # single dense softmax layer: z = W x + b, probs = softmax(z)
-        spec = GraphSpec(branches=(), passthrough=(("x", 2),), head_hidden=())
+        spec = GraphSpec(branches=(BranchSpec("x", 2),), head_hidden=())
         net = init_network(spec, 0)
         net.head[0].weights[:] = [[1.0, 2.0], [3.0, -1.0]]
         net.head[0].biases[:] = [0.5, -0.5]
@@ -114,7 +113,7 @@ class TestForward:
         np.testing.assert_allclose(forward(net, {"x": x})[0], expected, atol=1e-15)
 
     def test_large_logits_stay_finite(self):
-        spec = GraphSpec(branches=(), passthrough=(("x", 1),), head_hidden=())
+        spec = GraphSpec(branches=(BranchSpec("x", 1),), head_hidden=())
         net = init_network(spec, 0)
         net.head[0].weights[:] = [[500.0], [-500.0]]
         probs = forward(net, {"x": np.array([[1.0]])})
@@ -131,7 +130,7 @@ class TestForward:
 
 class TestGradients:
     def test_confident_correct_prediction_has_low_loss(self):
-        spec = GraphSpec(branches=(), passthrough=(("x", 1),), head_hidden=())
+        spec = GraphSpec(branches=(BranchSpec("x", 1),), head_hidden=())
         net = init_network(spec, 0)
         net.head[0].weights[:] = [[-40.0], [40.0]]
         loss, grads = loss_and_gradients(net, {"x": np.array([[1.0]])}, [1])
@@ -250,6 +249,16 @@ class TestModelFile:
         after = forward(loaded, inputs)
         np.testing.assert_array_equal(before, after)
 
+    def test_branch_without_hidden_layers_saved_as_empty_stack(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(init_network(small_widedeep_spec(), 1), path, "widedeep-v1")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["format_version"] == 3
+        assert set(doc["spec"]) == {"branches", "head_hidden"}
+        assert doc["spec"]["branches"][-1] == {"name": "mtr", "input_width": 1,
+                                               "hidden": []}
+        assert doc["params"]["branches"][-1] == []
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json", encoding="utf-8")
@@ -335,9 +344,11 @@ class TestModelFileAgainstSpec:
         layer["weights"] = base64.b64encode(raw).decode("ascii")
         self.assert_rejected(path, doc)
 
-    def test_version_1_document_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_document_rejected(self, tmp_path, version):
         path, doc = self.saved_doc(tmp_path)
-        doc["format_version"] = 1
+        doc["format_version"] = version
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ModelFormatError, match="version 1.*slidescreen train"):
+        with pytest.raises(ModelFormatError,
+                           match=f"version {version}.*slidescreen train"):
             load_model(path)

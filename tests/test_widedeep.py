@@ -7,6 +7,7 @@ from slidescreen import synth
 from slidescreen.features import LSRL, MCC, MPH, MTR, N_FEATURES, extract_features
 from slidescreen.ingest import MALIGNANT, NORMAL
 from slidescreen.netcore import (
+    BranchSpec,
     SingleClassDataset,
     TrainConfig,
     forward,
@@ -66,7 +67,7 @@ class TestTopology:
         assert build_widedeep(0).n_parameters() == EXPECTED_PARAMETERS
 
     def test_concat_width(self):
-        assert widedeep_spec().concat_width() == 901
+        assert widedeep_spec().stacks()[-1][1][0] == 901
 
     def test_output_width(self):
         net = build_widedeep(1)
@@ -74,13 +75,29 @@ class TestTopology:
 
     def test_branch_input_widths(self):
         spec = widedeep_spec()
-        assert [b.input_width for b in spec.branches] == [10, 2, 5]
-        assert spec.passthrough == (("mtr", 1),)
+        assert [b.input_width for b in spec.branches] == [10, 2, 5, 1]
+        assert spec.branches[-1] == BranchSpec("mtr", 1, ())
 
     def test_same_seed_same_model(self):
         a, b = build_widedeep(42), build_widedeep(42)
         for pa, pb in zip(a.parameter_arrays(), b.parameter_arrays()):
             np.testing.assert_array_equal(pa, pb)
+
+    def test_init_order_oracle(self):
+        # weight shapes (out, in) in draw order: mph, lsrl, mcc (two
+        # layers each), mtr (none), then the head over the 8+8+8+1 concat
+        shapes = [(8, 10), (8, 8), (8, 2), (8, 8), (8, 5), (8, 8),
+                  (8, 25), (8, 8), (2, 8)]
+        rng = np.random.default_rng(5)
+        expected = []
+        for out_width, in_width in shapes:
+            bound = np.sqrt(6.0 / in_width)
+            expected += [rng.uniform(-bound, bound, size=(out_width, in_width)),
+                         np.zeros(out_width)]
+        actual = build_widedeep(5, hidden=8).parameter_arrays()
+        assert len(actual) == len(expected)
+        for a, e in zip(actual, expected):
+            np.testing.assert_array_equal(a, e)
 
 
 class TestPrediction:
@@ -166,7 +183,7 @@ class TestRouting:
         # become an exactly affine function of mtr alone
         rng = np.random.default_rng(10)
         net = build_widedeep(11, hidden=16)
-        concat = net.spec.concat_width()
+        concat = net.head[0].weights.shape[1]
         net.head[0].weights[:, : concat - 1] = 0.0
 
         def logits_for(mtr, row):
