@@ -11,6 +11,11 @@ A slide's features are one (18,) float64 row and a set of slides is an
 (n, 18) matrix; the slices below are the only place that layout is
 defined. A degenerate slide (no patches, or no malignant-classified
 patches) maps to the all-zero row: no malignant evidence.
+
+MCC comes from one vectorized pass per slide: the neighbour pairs of the
+malignant patch centers are enumerated once, in numpy blocks, at the
+largest radius, and each block is linked into the component labels of
+every radius its pairs reach; no radius is scanned on its own.
 """
 
 from __future__ import annotations
@@ -110,60 +115,139 @@ def least_squares_regression_line(hist: Sequence[float]) -> RegressionLine:
     return RegressionLine(m, b)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
+# Pairs enumerated per block: the pair arrays of one block are the only
+# allocation that grows with the number of neighbour pairs.
+PAIR_BLOCK = 1 << 12
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
+# Forward cell offsets as (column step, row step): the point's own cell
+# (partners later in sort order only) and four of its eight neighbours, so
+# every pair of points in adjacent cells is visited exactly once.
+_FORWARD_CELLS = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
+
+def _cell_ranks(values: np.ndarray, side: float) -> np.ndarray:
+    """Grid cell of each value, with the occupied cells renumbered in
+    order and every gap between them shortened to one empty cell: adjacent
+    cells stay adjacent, the others stay apart, and no rank exceeds 2n, so
+    cell keys fit in int64 whatever the coordinates."""
+    cells = np.floor(values / side)
+    order = np.argsort(cells)
+    steps = np.minimum(np.diff(cells[order]), 2).astype(np.int64)
+    ranks = np.empty(values.shape, dtype=np.int64)
+    ranks[order] = np.concatenate(([0], np.cumsum(steps)))
+    return ranks
+
+
+def _roots(labels: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Root label of each point in ``idx``; compresses their paths."""
+    r = labels[idx]
+    while True:
+        up = labels[r]
+        if (up == r).all():
+            break
+        r = up
+    labels[idx] = r
+    return r
+
+
+def _link(labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Merge the components of every pair (a[k], b[k]): hook the larger
+    root onto the smaller one, so a label never exceeds its point's index
+    and every root is its component's first point."""
+    while a.size:
+        ra, rb = _roots(labels, a), _roots(labels, b)
+        apart = ra != rb
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(labels, np.maximum(ra, rb), np.minimum(ra, rb))
+
+
+def _component_labels(points, radii: Sequence[float]) -> np.ndarray:
+    """Chain-linkage labels of n points at every radius, one row per
+    radius: row k maps each point to the index of the first point of its
+    component at radius radii[k].
+
+    The neighbour pairs are enumerated once, for the largest radius: the
+    points are hashed into cells of that side and sorted by cell, and each
+    point is paired with the points of its own cell that follow it and of
+    four neighbouring cells. The pairs come in blocks; the pairs of a block
+    that are no longer than a radius join components in that radius's
+    labels, so each radius links exactly its own pairs (single linkage,
+    Gower & Ross 1969). Squared lengths are compared in float64, so a
+    pair exactly at a radius is linked.
+    Raises ValueError unless every radius is positive (infinity links
+    every pair) and every coordinate finite.
+    """
+    radii = [float(r) for r in radii]
+    for r in radii:
+        if not r > 0:
+            raise ValueError(f"radius must be positive, got {r}")
+    coords = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not np.isfinite(coords).all():
+        raise ValueError("point coordinates must be finite")
+    n = coords.shape[0]
+    if n == 0 or not radii:
+        return np.zeros((len(radii), n), dtype=np.int64)
+    side = max(radii)
+    col = _cell_ranks(coords[:, 0], side)
+    row = _cell_ranks(coords[:, 1], side) + 1  # a row step never wraps
+    width = int(row.max()) + 2
+    key = col * width + row
+    order = np.argsort(key)
+    key = key[order]
+    xs, ys = coords[order, 0], coords[order, 1]
+
+    # pair segments: source point i, cell offset c -> partners lo..lo+cnt
+    steps = [dcol * width + drow for dcol, drow in _FORWARD_CELLS]
+    target = (key[:, None] + steps).ravel()
+    lo = np.searchsorted(key, target, side="left")
+    lo[::len(_FORWARD_CELLS)] = np.arange(1, n + 1)  # own cell: later points only
+    counts = np.searchsorted(key, target, side="right") - lo
+    ends = np.cumsum(counts)
+    # blocks of whole segments, cut where the running pair count crosses a
+    # multiple of PAIR_BLOCK: a block holds at most PAIR_BLOCK pairs plus
+    # one segment, itself at most one cell's points
+    cuts = np.searchsorted(ends, np.arange(PAIR_BLOCK, ends[-1], PAIR_BLOCK),
+                           side="right")
+    edges = [0, *cuts.tolist(), counts.size]
+    # the label arrays of all radii end to end: entry k*n + p is point p at
+    # radius k, and no pair links two radii
+    flat = np.arange(len(radii) * n)
+    bounds = np.array([r * r for r in radii])[:, None]
+    for s0, s1 in zip(edges, edges[1:]):
+        if s0 == s1:  # a segment spanning several multiples
+            continue
+        cnt = counts[s0:s1]
+        # partner of a pair = its segment's lo + its place in the segment
+        i = np.repeat(np.arange(s0, s1) // len(_FORWARD_CELLS), cnt)
+        j = np.repeat(lo[s0:s1] - ends[s0:s1] + cnt, cnt)
+        j += np.arange(ends[s0] - cnt[0], ends[s1 - 1])
+        dx = xs[i] - xs[j]
+        dy = ys[i] - ys[j]
+        k, pair = np.nonzero(dx * dx + dy * dy <= bounds)
+        _link(flat, order[i[pair]] + k * n, order[j[pair]] + k * n)
+    _roots(flat, np.arange(flat.size))
+    return flat.reshape(len(radii), n) % n
+
+
+def component_counts(centers, radii: Sequence[float]) -> list[int]:
+    """Number of chain-linked components of the (n, 2) ``centers`` at each
+    radius, from one neighbour-pair pass."""
+    labels = _component_labels(centers, radii)
+    return (labels == np.arange(labels.shape[1])).sum(axis=1).tolist()
 
 
 def connected_components(points: Sequence, d: float) -> list[list]:
     """Partition points into chain-linked clusters.
 
     Two points share a component iff a chain of points connects them with
-    consecutive Euclidean distances <= d. Implemented with spatial hashing
-    into d-sized cells plus union-find, so only the 3x3 cell neighborhood
-    of each point is scanned; expected near-linear time versus the
-    quadratic scan of the naive algorithm.
+    consecutive Euclidean distances <= d. Groups come in the order of their
+    first member and hold the caller's points in input order; the labels
+    come from the engine behind ``component_counts``, at the one radius.
     """
-    if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
-    coords = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = coords.shape[0]
-    uf = _UnionFind(n)
-    cells: dict[tuple[int, int], list[int]] = {}
-    d2 = d * d
-    cell_idx = np.floor(coords / d).astype(np.int64)
-    for i in range(n):
-        cx, cy = int(cell_idx[i, 0]), int(cell_idx[i, 1])
-        xi, yi = coords[i]
-        for nx in (cx - 1, cx, cx + 1):
-            for ny in (cy - 1, cy, cy + 1):
-                for j in cells.get((nx, ny), ()):
-                    dx = xi - coords[j, 0]
-                    dy = yi - coords[j, 1]
-                    if dx * dx + dy * dy <= d2:
-                        uf.union(i, j)
-        cells.setdefault((cx, cy), []).append(i)
+    (labels,) = _component_labels(points, [d])
     groups: dict[int, list] = {}  # insertion order: first member's order
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(points[i])
+    for i, root in enumerate(labels.tolist()):
+        groups.setdefault(root, []).append(points[i])
     return list(groups.values())
 
 
@@ -175,9 +259,7 @@ def mcc_profile(slide: SlideRecord, radii: Sequence[float] = MCC_RADII) -> np.nd
     if n == 0:
         return np.zeros(len(radii))
     centers = np.column_stack((patches["x"], patches["y"]))
-    return np.array(
-        [len(connected_components(centers, d)) / n for d in radii]
-    )
+    return np.array(component_counts(centers, radii)) / n
 
 
 def extract_features(slide: SlideRecord) -> np.ndarray:

@@ -1,9 +1,16 @@
 """Feature extraction: values against independent oracles, plus the
 geometric and algebraic invariants of the four feature families."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slidescreen
+from slidescreen import features
 from slidescreen.features import (
     FEATURE_NAMES,
     LSRL,
@@ -12,6 +19,7 @@ from slidescreen.features import (
     MPH,
     MTR,
     N_FEATURES,
+    component_counts,
     connected_components,
     extract_features,
     least_squares_regression_line,
@@ -174,6 +182,52 @@ class TestConnectedComponents:
         with pytest.raises(ValueError):
             connected_components([(0, 0)], 0)
 
+    @pytest.mark.parametrize("radius", [float("nan"), 0.0, -1.0])
+    def test_rejects_radius_that_is_not_positive(self, radius):
+        with pytest.raises(ValueError):
+            connected_components([(0, 0), (1, 1)], radius)
+        with pytest.raises(ValueError):
+            component_counts([(0, 0), (1, 1)], [142.0, radius])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_coordinate_that_is_not_finite(self, bad):
+        with pytest.raises(ValueError):
+            connected_components([(0, 0), (bad, 1)], 142.0)
+        with pytest.raises(ValueError):
+            component_counts([(0, 0), (1, bad)], MCC_RADII)
+
+    def test_infinite_radius_links_every_point(self):
+        pts = [(0, 0), (10**6, 0), (-5, 3e9)]
+        assert connected_components(pts, float("inf")) == [pts]
+        assert component_counts(pts, [1.0, float("inf")]) == [3, 1]
+
+
+class TestComponentCounts:
+    def test_radii_in_any_order(self):
+        pts = [(0, 0), (300, 0), (900, 0), (900, 500)]
+        assert component_counts(pts, (708.0, 142.0, 425.0)) == [1, 4, 3]
+
+    def test_pair_exactly_at_a_radius_links(self):
+        pts = [(0, 0), (300, 400)]  # 500 px apart
+        assert component_counts(pts, (499.0, 500.0, 708.0)) == [2, 1, 1]
+        assert len(connected_components(pts, 500.0)) == 1
+
+    def test_no_points_or_no_radii(self):
+        assert component_counts(np.empty((0, 2)), MCC_RADII) == [0] * 5
+        assert component_counts([(0, 0)], []) == []
+
+    def test_cell_numbers_beyond_int64(self):
+        # 2**53 / 1e-4 cells from the origin: more than int64 holds
+        pts = [(0.0, 0.0), (2.0**53, 0.0), (2.0**53, 5e-5), (2.0**53, 2e-4)]
+        assert component_counts(pts, [1e-4]) == [3]
+
+    def test_cell_larger_than_a_pair_block(self, monkeypatch):
+        # 30 coincident points, so the first one's own-cell segment spans
+        # several blocks, plus one point just out of reach at 142 px
+        monkeypatch.setattr(features, "PAIR_BLOCK", 8)
+        pts = [(5.0, 5.0)] * 30 + [(147.5, 5.0)]
+        assert component_counts(pts, (142.0, 283.0)) == [2, 1]
+
 
 class TestMccProfile:
     def test_single_malignant_patch(self):
@@ -194,6 +248,36 @@ class TestMccProfile:
         base = mcc_profile(slide(probs, coords))
         shifted = [(x + 7777, y + 123) for x, y in coords]
         np.testing.assert_array_equal(base, mcc_profile(slide(probs, shifted)))
+
+    def test_translation_to_large_coordinates(self):
+        # ingest accepts coordinates up to 2**53; cell keys must not
+        # overflow there
+        rng = np.random.default_rng(9)
+        coords = [(int(x) * 50, int(y) * 50) for x, y in rng.integers(0, 40, size=(80, 2))]
+        probs = [0.9] * 80
+        base = mcc_profile(slide(probs, coords))
+        assert len(set(base)) > 1  # the radii disagree: a real check
+        shifted = [(x + 2**52, y + 2**52) for x, y in coords]
+        np.testing.assert_array_equal(base, mcc_profile(slide(probs, shifted)))
+
+
+def test_extraction_never_imports_scipy():
+    # the package is numpy-only; scipy alone would add tens of MiB of RSS
+    # to every extract run
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import slidescreen.cli\n"
+        "from slidescreen.features import extract_features\n"
+        "from slidescreen.ingest import PATCH_DTYPE, SlideRecord\n"
+        "patches = np.array([(0, 0, 0.9), (100, 0, 0.8), (900, 0, 0.7)], dtype=PATCH_DTYPE)\n"
+        "extract_features(SlideRecord('s', 1, patches))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(slidescreen.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestExtractFeatures:

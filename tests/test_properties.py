@@ -8,7 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slidescreen.evaluation import roc_auc
-from slidescreen.features import N_BINS, connected_components, least_squares_regression_line
+from slidescreen.features import (
+    MCC_RADII,
+    N_BINS,
+    component_counts,
+    connected_components,
+    least_squares_regression_line,
+)
 
 from oracles import as_partition, grid_refine_line, naive_components, pairwise_auc
 
@@ -25,6 +31,20 @@ points = st.lists(st.tuples(st.integers(0, 1500), st.integers(0, 1500)), max_siz
 def test_components_partition_matches_naive_oracle(pts, d):
     assert as_partition(connected_components(pts, float(d))) == \
         as_partition(naive_components(pts, float(d)))
+
+
+# Multiples of 50 px, duplicates allowed, put pair lengths close to every
+# radius and on both sides of it: 500 px between 425 and 566, 100*sqrt(2)
+# just under 142, 150 px just over.
+grid_points = st.lists(st.tuples(st.integers(0, 30).map(lambda v: 50 * v),
+                                 st.integers(0, 30).map(lambda v: 50 * v)), max_size=80)
+
+
+@PROPERTY_SETTINGS
+@given(grid_points)
+def test_component_counts_match_naive_oracle_at_every_radius(pts):
+    assert component_counts(pts, MCC_RADII) == \
+        [len(naive_components(pts, r)) for r in MCC_RADII]
 
 
 @PROPERTY_SETTINGS
@@ -48,3 +68,4 @@ def test_regression_line_matches_grid_oracle(bins):
     xs = np.arange(N_BINS) - (N_BINS - 1) / 2
     ys = np.asarray(bins)
     assert m == pytest.approx(float(xs @ (ys - ys.mean()) / (xs @ xs)), abs=1e-12)
+
