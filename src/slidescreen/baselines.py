@@ -1,8 +1,12 @@
-"""Comparison classifiers over the (n, 18) feature matrix, used as is.
+"""The five classifier kinds, and the comparison of all of them under
+identical folds.
 
-All four baselines implement the same fit/predict_proba surface as the
-wide-and-deep classifier so they plug into cross_validate unchanged.
-Hyperparameters follow common defaults and are constructor arguments:
+Every kind takes the (n, 18) feature matrix and has the same
+fit/predict_proba surface, so it plugs into cross_validate unchanged.
+The two neural kinds, the wide-and-deep model and the ANN, are netcore's
+one network classifier, each with its own spec and input routing. The
+baselines' hyperparameters follow common defaults and are constructor
+arguments:
 
   KNN  k=5, Euclidean distance, distance ties broken by smaller training
        index, vote ties resolved to malignant
@@ -17,33 +21,31 @@ Hyperparameters follow common defaults and are constructor arguments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+import functools
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .evaluation import EvaluationReport, LabeledExample, cross_validate
+from .evaluation import (
+    EvaluationReport,
+    LabeledExample,
+    cross_validate,
+    report_doc,
+    write_json,
+    write_metrics_csv,
+)
 from .features import N_FEATURES
 from .ingest import MALIGNANT, NORMAL
 from .netcore import (
     BranchSpec,
     GraphSpec,
-    SingleClassDataset,
+    NetClassifier,
+    NotFitted,  # re-exported: every classifier kind raises it before fit
     TrainConfig,
-    forward,
-    init_network,
-    train,
+    require_both_classes,
 )
 from .widedeep import WideDeepClassifier
-
-
-class NotFitted(Exception):
-    pass
-
-
-def _require_both_classes(labels: np.ndarray) -> None:
-    if len(set(labels.tolist())) < 2:
-        raise SingleClassDataset("training requires examples of both classes")
 
 
 class KnnClassifier:
@@ -86,7 +88,7 @@ class LinearSvmClassifier:
 
     def fit(self, X, labels: Sequence[int], seed: int = 0):
         labels = np.asarray(labels, dtype=int)
-        _require_both_classes(labels)
+        require_both_classes(labels)
         X = np.asarray(X, dtype=float)
         y = np.where(labels == MALIGNANT, 1.0, -1.0)
         rng = np.random.default_rng(seed)
@@ -191,7 +193,7 @@ class RandomForestClassifier:
 
     def fit(self, X, labels: Sequence[int], seed: int = 0):
         labels = np.asarray(labels, dtype=int)
-        _require_both_classes(labels)
+        require_both_classes(labels)
         X = np.asarray(X, dtype=float)
         n = X.shape[0]
         m = min(self.n_split_features, X.shape[1])
@@ -211,28 +213,17 @@ class RandomForestClassifier:
         return votes.mean(axis=1)
 
 
-class AnnClassifier:
+def _whole_row(X) -> dict[str, np.ndarray]:
+    return {"features": X}
+
+
+class AnnClassifier(NetClassifier):
     """Plain feed-forward network on the whole 18-wide feature row."""
 
-    def __init__(self, config: TrainConfig, hidden: tuple[int, int] = (300, 300)):
-        self.config = config
-        self.hidden = hidden
-        self.net = None
-
-    def fit(self, X, labels: Sequence[int], seed: int = 0):
-        labels = np.asarray(labels, dtype=int)
-        _require_both_classes(labels)
+    def __init__(self, config: TrainConfig, hidden: tuple[int, ...] = (300, 300)):
         spec = GraphSpec(branches=(BranchSpec("features", N_FEATURES),),
-                         head_hidden=tuple(self.hidden))
-        net = init_network(spec, seed)
-        config = replace(self.config, seed=seed)
-        self.net, _ = train(net, {"features": X}, labels, config)
-        return self
-
-    def predict_proba(self, X) -> np.ndarray:
-        if self.net is None:
-            raise NotFitted("ANN queried before fit")
-        return forward(self.net, {"features": X})[:, MALIGNANT]
+                         head_hidden=tuple(hidden))
+        super().__init__(config, spec, _whole_row)
 
 
 CLASSIFIER_KINDS = ("widedeep", "ann", "svm", "rf", "knn")
@@ -252,21 +243,12 @@ def make_classifier(kind: str, config: TrainConfig):
     raise ValueError(f"unknown classifier kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class _Factory:
-    """Picklable classifier factory for process-parallel folds."""
-
-    kind: str
-    config: TrainConfig
-
-    def __call__(self):
-        return make_classifier(self.kind, self.config)
-
-
-def classifier_factory(kind: str, config: TrainConfig) -> _Factory:
+def classifier_factory(kind: str, config: TrainConfig) -> Callable[[], object]:
+    """A picklable zero-argument factory of fresh `kind` classifiers, for
+    process-parallel folds."""
     if kind not in CLASSIFIER_KINDS:
         raise ValueError(f"unknown classifier kind {kind!r}")
-    return _Factory(kind, config)
+    return functools.partial(make_classifier, kind, config)
 
 
 def run_comparison(examples: Sequence[LabeledExample], k: int, seed: int,
@@ -282,30 +264,11 @@ def run_comparison(examples: Sequence[LabeledExample], k: int, seed: int,
     }
 
 
-COMPARISON_HEADER = ("model", "accuracy", "sensitivity", "precision", "f1", "auc")
-
-
 def write_comparison_csv(reports: dict[str, EvaluationReport], path) -> None:
     """One row per classifier with its fold-averaged metrics."""
-    import csv
-    from pathlib import Path
-
-    from .evaluation import _metrics_row
-
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COMPARISON_HEADER)
-        for kind, report in reports.items():
-            writer.writerow(_metrics_row(kind, report.average))
+    write_metrics_csv("model", [(kind, report.average)
+                                for kind, report in reports.items()], path)
 
 
 def write_comparison_json(reports: dict[str, EvaluationReport], path) -> None:
-    import json
-    from pathlib import Path
-
-    from .evaluation import report_doc
-
-    doc = {kind: report_doc(report) for kind, report in reports.items()}
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json({kind: report_doc(report) for kind, report in reports.items()}, path)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +22,15 @@ EXIT_VALIDATION = 3
 EXIT_USAGE = 64
 
 GRID_SPACING = 100  # px; heatmap cells snap to the nearest grid cell
+# 4x the ~4 M cells of a 200 000-px slide at GRID_SPACING
+MAX_HEATMAP_CELLS = 2**24
 
 
 class UsageError(Exception):
+    pass
+
+
+class GridTooLarge(Exception):
     pass
 
 
@@ -35,11 +40,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low; argparse reports the
+    ValueError of a non-integer as an invalid `integer` value."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _add_dataset_args(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--manifest", type=Path, help="manifest CSV of slides")
     group.add_argument("--features", type=Path, help="precomputed feature CSV")
-    sub.add_argument("--jobs", type=int, default=1,
+    sub.add_argument("--jobs", type=_int_at_least(1), default=1,
                      help="parallel workers (default 1)")
 
 
@@ -70,14 +85,14 @@ def build_parser() -> _Parser:
     p = subs.add_parser("extract", help="compute per-slide feature vectors")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="feature CSV path")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_extract)
 
     p = subs.add_parser("cv", help="stratified K-fold cross-validation")
     _add_dataset_args(p)
     p.add_argument("--model", choices=baselines.CLASSIFIER_KINDS,
                    default="widedeep")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_int_at_least(2), default=5)
     _add_train_args(p)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_cv)
@@ -86,7 +101,7 @@ def build_parser() -> _Parser:
     _add_dataset_args(p)
     p.add_argument("--models", nargs="+", choices=baselines.CLASSIFIER_KINDS,
                    default=list(baselines.CLASSIFIER_KINDS))
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_int_at_least(2), default=5)
     _add_train_args(p)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_compare)
@@ -133,17 +148,13 @@ def _extract_entry(entry: ingest.ManifestEntry):
     return slide.slide_id, slide.label, features.extract_features(slide)
 
 
-def _extract_all(manifest: ingest.DatasetManifest, jobs: int):
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_extract_entry, manifest.entries))
-    return [_extract_entry(entry) for entry in manifest.entries]
+def _extract_all(manifest_path: Path, jobs: int):
+    entries = ingest.load_manifest(manifest_path).entries
+    return evaluation.parallel_map(_extract_entry, entries, jobs)
 
 
 def cmd_extract(args) -> int:
-    _check_jobs(args)
-    manifest = ingest.load_manifest(args.manifest)
-    rows = _extract_all(manifest, args.jobs)
+    rows = _extract_all(args.manifest, args.jobs)
     features.write_features_csv(rows, args.out)
     print(f"wrote {len(rows)} feature rows to {args.out}")
     return EXIT_OK
@@ -153,20 +164,9 @@ def _load_examples(args) -> list[evaluation.LabeledExample]:
     if args.features is not None:
         rows = features.read_features_csv(args.features)
     else:
-        manifest = ingest.load_manifest(args.manifest)
-        rows = _extract_all(manifest, args.jobs)
+        rows = _extract_all(args.manifest, args.jobs)
     return [evaluation.LabeledExample(slide_id, row, label)
             for slide_id, label, row in rows]
-
-
-def _check_jobs(args) -> None:
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-
-
-def _check_k(args) -> None:
-    if args.k < 2:
-        raise UsageError("--k must be >= 2")
 
 
 def _train_config(args) -> netcore.TrainConfig:
@@ -178,8 +178,6 @@ def _train_config(args) -> netcore.TrainConfig:
 
 
 def cmd_cv(args) -> int:
-    _check_jobs(args)
-    _check_k(args)
     config = _train_config(args)
     examples = _load_examples(args)
     factory = baselines.classifier_factory(args.model, config)
@@ -193,8 +191,6 @@ def cmd_cv(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _check_jobs(args)
-    _check_k(args)
     repeated = sorted({m for m in args.models if args.models.count(m) > 1})
     if repeated:
         raise UsageError(f"--models names {', '.join(repeated)} more than once")
@@ -210,7 +206,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_jobs(args)
     config = _train_config(args)
     examples = _load_examples(args)
     net = widedeep.train_widedeep([e.features for e in examples],
@@ -250,7 +245,12 @@ def cmd_heatmap(args) -> int:
         cols = (patches["x"] + GRID_SPACING // 2) // GRID_SPACING
         rows -= rows.min()
         cols -= cols.min()
-        grid = np.full((rows.max() + 1, cols.max() + 1), np.nan)
+        shape = (int(rows.max()) + 1, int(cols.max()) + 1)
+        if shape[0] * shape[1] > MAX_HEATMAP_CELLS:
+            raise GridTooLarge(
+                f"{args.slide}: heatmap grid of {shape[0]} x {shape[1]} cells "
+                f"exceeds {MAX_HEATMAP_CELLS} cells")
+        grid = np.full(shape, np.nan)
         np.fmax.at(grid, (rows, cols), patches["prob_malignant"])
         lines = [",".join("" if math.isnan(v) else repr(v) for v in line)
                  for line in grid.tolist()]
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
         print(f"slidescreen: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ingest.MalformedRow, ingest.ProbabilityOutOfRange,
-            ingest.DuplicateSlideId, synth.InvalidConfig) as exc:
+            ingest.DuplicateSlideId, synth.InvalidConfig, GridTooLarge) as exc:
         print(f"slidescreen: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (FileNotFoundError, IsADirectoryError, PermissionError,
@@ -286,7 +286,7 @@ def main(argv=None) -> int:
     except (netcore.SingleClassDataset, netcore.EmptyDataset,
             netcore.TrainingDiverged, evaluation.TooFewExamples,
             evaluation.SingleClassScores, evaluation.EmptyEvaluation,
-            baselines.NotFitted, ValueError) as exc:
+            netcore.NotFitted, ValueError) as exc:
         print(f"slidescreen: pipeline failure: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 

@@ -8,10 +8,11 @@ averages rather than silently counted as zero.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -59,6 +60,9 @@ class MetricSet:
     precision: float
     f1: float
     auc: float = math.nan
+
+
+METRIC_NAMES = tuple(f.name for f in fields(MetricSet))
 
 
 @dataclass(frozen=True)
@@ -175,13 +179,19 @@ def mean_metrics(metric_sets: Sequence[MetricSet]) -> MetricSet:
         defined = [v for v in values if not math.isnan(v)]
         return sum(defined) / len(defined) if defined else math.nan
 
-    return MetricSet(
-        accuracy=_mean([m.accuracy for m in metric_sets]),
-        sensitivity=_mean([m.sensitivity for m in metric_sets]),
-        precision=_mean([m.precision for m in metric_sets]),
-        f1=_mean([m.f1 for m in metric_sets]),
-        auc=_mean([m.auc for m in metric_sets]),
-    )
+    return MetricSet(*(_mean([getattr(m, name) for m in metric_sets])
+                       for name in METRIC_NAMES))
+
+
+def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
+    """fn applied to every item, results in input order; in up to jobs
+    worker processes, never more than there are items (a forking pool
+    starts all its workers at once), so fn and the items must pickle."""
+    workers = min(jobs, len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _run_fold(task):
@@ -214,57 +224,38 @@ def cross_validate(examples: Sequence[LabeledExample],
         tasks.append((factory, X[train], y[train], X[test],
                       derive_seed(seed, f"fold-{i}")))
         fold_labels.append(y[test])
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            fold_scores = list(pool.map(_run_fold, tasks))
-    else:
-        fold_scores = [_run_fold(t) for t in tasks]
-
     folds = []
-    for i, (scores, y_true) in enumerate(zip(fold_scores, fold_labels)):
+    for i, (scores, y_true) in enumerate(zip(parallel_map(_run_fold, tasks, jobs),
+                                             fold_labels)):
         y_pred = np.where(scores >= 0.5, MALIGNANT, NORMAL)
         cm = confusion_matrix(y_true, y_pred)
-        metrics = compute_metrics(cm)
-        metrics = MetricSet(metrics.accuracy, metrics.sensitivity,
-                            metrics.precision, metrics.f1,
-                            auc=roc_auc(scores, y_true))
+        metrics = replace(compute_metrics(cm), auc=roc_auc(scores, y_true))
         folds.append(FoldResult(i + 1, cm, metrics))
     average = mean_metrics([f.metrics for f in folds])
     return EvaluationReport(tuple(folds), average, assignment.folds)
 
 
-def _fmt(value: float, digits: int = 2) -> str:
-    return "" if math.isnan(value) else f"{value:.{digits}f}"
-
-
-def _metrics_row(name: str, m: MetricSet) -> list[str]:
-    return [name, _fmt(m.accuracy), _fmt(m.sensitivity), _fmt(m.precision),
-            _fmt(m.f1), _fmt(m.auc)]
-
-
-REPORT_HEADER = ("fold", "accuracy", "sensitivity", "precision", "f1", "auc")
+def write_metrics_csv(key: str, rows: Sequence[tuple[str, MetricSet]],
+                      path) -> None:
+    """Two-decimal CSV: a header of key and the metric names, then one row
+    per (name, metrics) pair; an undefined metric is an empty cell."""
+    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow((key,) + METRIC_NAMES)
+        for name, m in rows:
+            writer.writerow([name] + ["" if math.isnan(v) else f"{v:.2f}"
+                                      for v in asdict(m).values()])
 
 
 def write_report_csv(report: EvaluationReport, path) -> None:
-    """Two-decimal CSV with one row per fold plus the average row."""
-    import csv
-
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_HEADER)
-        for fold in report.folds:
-            writer.writerow(_metrics_row(str(fold.fold), fold.metrics))
-        writer.writerow(_metrics_row("average", report.average))
+    """One row per fold plus the average row."""
+    write_metrics_csv("fold", [(str(fold.fold), fold.metrics) for fold in report.folds]
+                      + [("average", report.average)], path)
 
 
 def _metrics_doc(m: MetricSet) -> dict:
-    return {
-        name: (None if math.isnan(value) else value)
-        for name, value in [
-            ("accuracy", m.accuracy), ("sensitivity", m.sensitivity),
-            ("precision", m.precision), ("f1", m.f1), ("auc", m.auc),
-        ]
-    }
+    return {name: (None if math.isnan(value) else value)
+            for name, value in asdict(m).items()}
 
 
 def report_doc(report: EvaluationReport) -> dict:
@@ -283,8 +274,13 @@ def report_doc(report: EvaluationReport) -> dict:
     }
 
 
+def write_json(doc, path) -> None:
+    """Indented JSON with sorted keys and a final newline."""
+    with open(Path(path), "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def write_report_json(report: EvaluationReport, path) -> None:
     """Full-precision JSON report including the confusion matrices."""
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        json.dump(report_doc(report), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(report_doc(report), path)

@@ -1,4 +1,6 @@
-"""Minimal dense-network engine: forward pass, analytic gradients, training.
+"""Minimal dense-network engine: forward pass, analytic gradients,
+training, and NetClassifier, the one fit/predict_proba adapter that every
+network classifier kind uses.
 
 The one building block is a stack of dense layers. Each named input
 feeds a branch, a stack of dense+ReLU layers; a branch with no layers
@@ -17,9 +19,9 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,6 +55,10 @@ class ModelFormatError(Exception):
 
 
 class TrainingDiverged(Exception):
+    pass
+
+
+class NotFitted(Exception):
     pass
 
 
@@ -312,6 +318,38 @@ def train(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
                 vi += (1.0 - beta2) * (g * g - vi)
                 p -= config.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
     return net, losses
+
+
+def require_both_classes(labels: np.ndarray) -> None:
+    """Raise SingleClassDataset unless every class index occurs in labels."""
+    if not set(range(N_CLASSES)) <= set(labels.tolist()):
+        raise SingleClassDataset("training requires examples of both classes")
+
+
+class NetClassifier:
+    """fit/predict_proba adapter that trains one network of the given
+    spec on a feature matrix; route maps the matrix (or a sequence of
+    rows) to the network's named inputs."""
+
+    def __init__(self, config: TrainConfig, spec: GraphSpec,
+                 route: Callable[[np.ndarray], Mapping[str, np.ndarray]]):
+        self.config = config
+        self.spec = spec
+        self.route = route
+        self.net: NetworkGraph | None = None
+
+    def fit(self, X, labels: Sequence[int], seed: int = 0):
+        labels = np.asarray(labels, dtype=int)
+        require_both_classes(labels)
+        net = init_network(self.spec, seed)
+        self.net, _ = train(net, self.route(X), labels, replace(self.config, seed=seed))
+        return self
+
+    def predict_proba(self, X) -> np.ndarray:
+        """Probability of class 1 (malignant) per row."""
+        if self.net is None:
+            raise NotFitted(f"{type(self).__name__} queried before fit")
+        return forward(self.net, self.route(X))[:, 1]
 
 
 def _encode_array(arr: np.ndarray) -> str:

@@ -5,11 +5,12 @@ component profile 5-wide), each two hidden layers of 300 ReLU units, and
 the wide branch, the raw 1-wide malignant tissue ratio with no hidden
 layers, concatenated (width 901) into a two-layer head and a 2-way
 softmax. Each network input is a column slice of the matrix.
+WideDeepClassifier is netcore's one network classifier with this spec
+and that routing.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -19,12 +20,11 @@ from .ingest import MALIGNANT, NORMAL
 from .netcore import (
     BranchSpec,
     GraphSpec,
+    NetClassifier,
     NetworkGraph,
-    SingleClassDataset,
     TrainConfig,
     forward,
     init_network,
-    train,
 )
 
 WIDEDEEP_TAG = "widedeep-v1"
@@ -77,30 +77,13 @@ def predict_slide(net: NetworkGraph, row: np.ndarray) -> tuple[int, float]:
     return (MALIGNANT if p >= 0.5 else NORMAL), p
 
 
-def train_widedeep(features, labels: Sequence[int], config: TrainConfig,
-                   hidden: int = HIDDEN_WIDTH) -> NetworkGraph:
-    labels = np.asarray(labels, dtype=int)
-    if labels.size < 2 or len({NORMAL, MALIGNANT} & set(labels.tolist())) < 2:
-        raise SingleClassDataset("training requires examples of both classes")
-    net = build_widedeep(config.seed, hidden)
-    net, _ = train(net, features_to_inputs(features), labels, config)
-    return net
-
-
-class WideDeepClassifier:
-    """fit/predict_proba adapter for cross-validation and comparison runs."""
+class WideDeepClassifier(NetClassifier):
+    """The wide-and-deep network as a fit/predict_proba classifier."""
 
     def __init__(self, config: TrainConfig, hidden: int = HIDDEN_WIDTH):
-        self.config = config
-        self.hidden = hidden
-        self.net: NetworkGraph | None = None
+        super().__init__(config, widedeep_spec(hidden), features_to_inputs)
 
-    def fit(self, X, labels: Sequence[int], seed: int):
-        self.net = train_widedeep(X, labels, replace(self.config, seed=seed),
-                                  self.hidden)
-        return self
 
-    def predict_proba(self, X) -> np.ndarray:
-        if self.net is None:
-            raise RuntimeError("classifier not fitted")
-        return predict_proba(self.net, X)
+def train_widedeep(features, labels: Sequence[int], config: TrainConfig,
+                   hidden: int = HIDDEN_WIDTH) -> NetworkGraph:
+    return WideDeepClassifier(config, hidden).fit(features, labels, config.seed).net

@@ -1,5 +1,7 @@
 """Comparison classifiers: behavior, determinism and oracle agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,14 @@ from slidescreen.baselines import (
 from slidescreen.evaluation import LabeledExample
 from slidescreen.features import LSRL, MCC, MPH, MTR, N_FEATURES
 from slidescreen.ingest import MALIGNANT, NORMAL
-from slidescreen.netcore import SingleClassDataset, TrainConfig
+from slidescreen.netcore import (
+    BranchSpec,
+    GraphSpec,
+    SingleClassDataset,
+    TrainConfig,
+    init_network,
+    train,
+)
 
 from oracles import knn_proba
 
@@ -171,6 +180,22 @@ class TestAnn:
         with pytest.raises(SingleClassDataset):
             AnnClassifier(TrainConfig(epochs=1)).fit(
                 np.tile(random_row(rng), (3, 1)), [MALIGNANT] * 3)
+
+    def test_classifier_adapter(self):
+        rng = np.random.default_rng(14)
+        X, labels = separable_dataset(rng, n_per_class=5)
+        config = TrainConfig(epochs=4, learning_rate=1e-2, seed=99)
+        clf = AnnClassifier(config, hidden=(8, 8))
+        with pytest.raises(NotFitted):
+            clf.predict_proba(X)
+        clf.fit(X, labels, seed=15)
+        # the adapter is init_network then train at the fit seed, nothing more
+        spec = GraphSpec(branches=(BranchSpec("features", N_FEATURES),),
+                         head_hidden=(8, 8))
+        net, _ = train(init_network(spec, 15), {"features": X}, labels,
+                       replace(config, seed=15))
+        got = b"".join(p.tobytes() for p in clf.net.parameter_arrays())
+        assert got == b"".join(p.tobytes() for p in net.parameter_arrays())
 
 
 class TestComparison:

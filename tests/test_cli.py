@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from slidescreen import netcore, widedeep
+from slidescreen import cli, netcore, widedeep
 from slidescreen.cli import main
 from slidescreen.features import extract_features, read_features_csv
 from slidescreen.ingest import load_manifest, load_slide
@@ -93,10 +93,6 @@ class TestCvCommand:
         assert len(lines) == 1 + 3 + 1
         doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert len(doc["folds"]) == 3
-
-    def test_k_below_two_is_usage_error(self, dataset, tmp_path):
-        assert run("cv", "--manifest", dataset, "--k", 1, "--seed", 7,
-                   "--out", tmp_path / "cv") == 64
 
     def test_repeat_invocation_identical_reports(self, dataset, tmp_path):
         for d in ("r1", "r2"):
@@ -292,6 +288,41 @@ class TestHeatmapCommand:
         out = tmp_path / "grid.csv"
         assert run("heatmap", "--slide", slide, "--out", out) == 0
         assert out.read_text(encoding="utf-8") == "0.9,,0.1\n"
+
+    @pytest.mark.parametrize("far", [10**9, 2**53])
+    def test_far_apart_patches_are_validation_error(self, tmp_path, capsys, far):
+        slide = tmp_path / "s.csv"
+        slide.write_text(f"x,y,prob_malignant\n0,0,0.9\n{far},{far},0.1\n",
+                         encoding="utf-8")
+        out = tmp_path / "grid.csv"
+        capsys.readouterr()
+        assert run("heatmap", "--slide", slide, "--out", out) == 3
+        side = (far + 50) // 100 + 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{side} x {side} cells" in err[0]
+        assert not out.exists()
+
+    def test_grid_at_the_cell_limit_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_HEATMAP_CELLS", 6)
+        slide = tmp_path / "s.csv"
+        out = tmp_path / "grid.csv"
+        slide.write_text("x,y,prob_malignant\n0,0,0.9\n200,100,0.1\n",
+                         encoding="utf-8")
+        assert run("heatmap", "--slide", slide, "--out", out) == 0
+        assert out.read_text(encoding="utf-8") == "0.9,,\n,,0.1\n"
+        slide.write_text("x,y,prob_malignant\n0,0,0.9\n200,200,0.1\n",
+                         encoding="utf-8")
+        assert run("heatmap", "--slide", slide, "--out", out) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["cv", "--k", 1], ["compare", "--k", 1], ["extract", "--jobs", 0],
+    ["cv", "--jobs", 0], ["compare", "--jobs", 0], ["train", "--jobs", 0],
+], ids=lambda argv: f"{argv[0]}-{argv[1].lstrip('-')}{argv[2]}")
+def test_count_below_minimum_is_usage_error(dataset, tmp_path, argv):
+    seed = [] if argv[0] == "extract" else ["--seed", 7]
+    assert run(*argv, "--manifest", dataset, *seed, "--out", tmp_path / "out") == 64
+    assert not (tmp_path / "out").exists()
 
 
 def test_no_command_is_usage_error():

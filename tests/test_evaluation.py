@@ -2,10 +2,12 @@
 
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from slidescreen import evaluation
 from slidescreen.evaluation import (
     ConfusionMatrix,
     EmptyEvaluation,
@@ -221,6 +223,20 @@ class TestCrossValidate:
         a = cross_validate(mtr_dataset(), MtrThresholdClassifier, 3, seed=5)
         b = cross_validate(mtr_dataset(), MtrThresholdClassifier, 3, seed=5, jobs=2)
         assert a == b
+
+    def test_pool_never_outnumbers_the_items(self, monkeypatch):
+        started = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        assert evaluation.parallel_map(abs, [-3, 2, -1], jobs=8) == [3, 2, 1]
+        assert evaluation.parallel_map(abs, [-5], jobs=8) == [5]
+        assert evaluation.parallel_map(abs, [], jobs=8) == []
+        assert started == [3]
 
     def test_average_is_mean_of_folds(self):
         report = cross_validate(mtr_dataset(), MtrThresholdClassifier, 4, seed=9)

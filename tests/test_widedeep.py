@@ -8,11 +8,14 @@ from slidescreen.features import LSRL, MCC, MPH, MTR, N_FEATURES, extract_featur
 from slidescreen.ingest import MALIGNANT, NORMAL
 from slidescreen.netcore import (
     BranchSpec,
+    NotFitted,
     SingleClassDataset,
     TrainConfig,
     forward,
+    init_network,
     load_model,
     save_model,
+    train,
 )
 from slidescreen.widedeep import (
     WIDEDEEP_TAG,
@@ -170,10 +173,17 @@ class TestTraining:
         X = np.array([random_row(rng) for _ in range(8)])
         labels = np.array([0, 1] * 4)
         clf = WideDeepClassifier(TrainConfig(epochs=2), hidden=8)
+        with pytest.raises(NotFitted):
+            clf.predict_proba(X)
         clf.fit(X, labels, seed=1)
         scores = clf.predict_proba(X)
         assert scores.shape == (8,)
         assert ((scores >= 0) & (scores <= 1)).all()
+        # the adapter is init_network then train at the fit seed, nothing more
+        net, _ = train(init_network(widedeep_spec(8), 1), features_to_inputs(X),
+                       labels, TrainConfig(epochs=2, seed=1))
+        for got, want in zip(clf.net.parameter_arrays(), net.parameter_arrays()):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestRouting:
