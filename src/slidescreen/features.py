@@ -21,6 +21,7 @@ every radius its pairs reach; no radius is scanned on its own.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -32,9 +33,9 @@ from .ingest import (
     MALIGNANT_THRESHOLD,
     DuplicateSlideId,
     MalformedRow,
-    MissingFile,
     SlideRecord,
     parse_label,
+    read_text,
 )
 
 # Bin edges as decimal literals so parsed probabilities compare exactly
@@ -287,16 +288,15 @@ def write_features_csv(rows, path) -> None:
 def read_features_csv(path) -> list[tuple[str, int, np.ndarray]]:
     """Parse a feature CSV into (slide_id, label, feature row) triples.
 
-    Raises MissingFile, MalformedRow on a bad header, column count, label
-    or value (NaN and infinities included), and DuplicateSlideId.
+    Raises MissingFile, MalformedRow on bytes that are not UTF-8, a bad
+    header, column count, label or value (NaN and infinities included),
+    and DuplicateSlideId.
     """
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(path)
     expected = ["slide_id", "label"] + FEATURE_NAMES
     rows = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != expected:

@@ -6,12 +6,14 @@ File contracts:
     manifest file or absolute.
   patch CSV: header ``x,y,prob_malignant``, x/y decimal integers (patch
     center coordinates in pixels), prob_malignant decimal in [0, 1].
-All files UTF-8; LF and CRLF line endings are both accepted.
+All files UTF-8 (other bytes are a MalformedRow); LF and CRLF line endings
+are both accepted.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -105,23 +107,46 @@ def parse_label(token: str) -> int:
     raise ValueError(f"unknown label {token!r}")
 
 
+def read_text(path) -> str:
+    """Return the text of a UTF-8 file.
+
+    Raises MissingFile, and MalformedRow at the line of the first byte
+    that is not UTF-8.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(path)
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(path, data.count(b"\n", 0, exc.start) + 1,
+                           f"byte 0x{data[exc.start]:02x} at offset {exc.start} "
+                           "is not UTF-8") from None
+
+
+def _open_csv(path: Path, expected_header: Sequence[str]) -> io.StringIO:
+    """A CSV file's text, positioned after its header row, which is checked."""
+    stream = io.StringIO(read_text(path), newline="")
+    try:
+        header = next(csv.reader(stream))
+    except StopIteration:
+        raise MalformedRow(path, 1, "missing header row") from None
+    got = tuple(cell.strip().lower() for cell in header)
+    if got != tuple(expected_header):
+        raise MalformedRow(
+            path, 1, f"bad header {header!r}, expected {','.join(expected_header)}"
+        )
+    return stream
+
+
 def _read_rows(path: Path, expected_header: Sequence[str]):
     """Yield (line_no, row) for each data row after checking the header."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(path, 1, "missing header row") from None
-        got = tuple(cell.strip().lower() for cell in header)
-        if got != tuple(expected_header):
-            raise MalformedRow(
-                path, 1, f"bad header {header!r}, expected {','.join(expected_header)}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue  # tolerate trailing blank line
-            yield line_no, row
+    reader = csv.reader(_open_csv(path, expected_header))
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue  # tolerate trailing blank line
+        yield line_no, row
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -133,8 +158,6 @@ def load_manifest(path) -> DatasetManifest:
     anything unparsable.
     """
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(path)
     base = path.parent
     entries = []
     seen: set[str] = set()
@@ -162,10 +185,38 @@ def load_manifest(path) -> DatasetManifest:
 
 def load_patches(path) -> np.ndarray:
     """Parse a patch prediction CSV into a PATCH_DTYPE array; row order is
-    preserved."""
+    preserved.
+
+    A cell is accepted iff Python's int (x, y) or float (prob_malignant)
+    accepts it after CSV unquoting. numpy's C reader parses the body, and
+    the columns are range-checked in numpy; a file that reader refuses or
+    that fails a check is parsed again row by row, which accepts it or
+    raises the error with its line number. So the fast reader changes
+    neither what is accepted nor what an error says.
+
+    Raises MissingFile, MalformedRow (header, column count, a cell that
+    is not a number, negative or too large coordinates, bytes that are
+    not UTF-8) and ProbabilityOutOfRange (NaN included).
+    """
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(path)
+    body = _open_csv(path, PATCH_HEADER).read()
+    if not body.strip():  # loadtxt warns on a body with no data
+        return _load_patches_rows(path)
+    try:
+        patches = np.loadtxt(io.StringIO(body), delimiter=",", dtype=PATCH_DTYPE,
+                             ndmin=1, comments=None)
+    except ValueError:
+        return _load_patches_rows(path)
+    x, y, prob = patches["x"], patches["y"], patches["prob_malignant"]
+    if ((x >= 0) & (x <= MAX_COORDINATE) & (y >= 0) & (y <= MAX_COORDINATE)
+            & (prob >= 0.0) & (prob <= 1.0)).all():  # also rejects NaN
+        return patches
+    return _load_patches_rows(path)
+
+
+def _load_patches_rows(path: Path) -> np.ndarray:
+    """The row parser behind load_patches: the reference for what is
+    accepted, and the only path that raises on a data row."""
     patches = []
     for line_no, row in _read_rows(path, PATCH_HEADER):
         if len(row) != 3:

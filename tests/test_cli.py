@@ -325,6 +325,39 @@ def test_count_below_minimum_is_usage_error(dataset, tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["extract-manifest", "extract-slide", "predict",
+                                     "heatmap", "cv-features"])
+def test_non_utf8_input_is_validation_error(dataset, tmp_path, capsys, command):
+    slide = tmp_path / "s.csv"
+    slide.write_bytes(b"x,y,prob_malignant\n0,0,0.9\n\xff,0,0.1\n")
+    if command == "extract-manifest":
+        manifest = tmp_path / "m.csv"
+        manifest.write_bytes(b"slide_id,label,predictions_path\ns1,malign\xe9nt,s.csv\n")
+        argv = ["extract", "--manifest", manifest, "--out", tmp_path / "out"]
+    elif command == "extract-slide":
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("slide_id,label,predictions_path\ns1,malignant,s.csv\n",
+                            encoding="utf-8")
+        argv = ["extract", "--manifest", manifest, "--out", tmp_path / "out"]
+    elif command == "predict":
+        model = tmp_path / "model.json"
+        netcore.save_model(widedeep.build_widedeep(seed=0), model, widedeep.WIDEDEEP_TAG)
+        argv = ["predict", "--model", model, "--slide", slide]
+    elif command == "heatmap":
+        argv = ["heatmap", "--slide", slide, "--out", tmp_path / "out"]
+    else:
+        feats = tmp_path / "features.csv"
+        assert run("extract", "--manifest", dataset, "--out", feats) == 0
+        feats.write_bytes(feats.read_bytes().replace(b"normal", b"norm\xe1l", 1))
+        argv = ["cv", "--features", feats, "--model", "knn", "--k", 3, "--seed", 7,
+                "--out", tmp_path / "out"]
+    capsys.readouterr()
+    assert run(*argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "is not UTF-8" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_no_command_is_usage_error():
     assert main([]) == 64
 

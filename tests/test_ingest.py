@@ -5,12 +5,14 @@ import pytest
 
 from slidescreen.ingest import (
     MALIGNANT,
+    MAX_COORDINATE,
     NORMAL,
     PATCH_DTYPE,
     DuplicateSlideId,
     MalformedRow,
     MissingFile,
     ProbabilityOutOfRange,
+    _load_patches_rows,
     load_manifest,
     load_patches,
     load_slide,
@@ -145,6 +147,61 @@ def test_oversized_coordinate_rejected(tmp_path):
     with pytest.raises(MalformedRow) as err:
         load_patches(path)
     assert err.value.line_no == 3
+
+
+def test_coordinate_limit_is_inclusive(tmp_path):
+    path = make_patch_file(tmp_path / "a.csv", [(MAX_COORDINATE, 0, 0.5)])
+    assert load_patches(path).tolist() == [(MAX_COORDINATE, 0, 0.5)]
+    path = make_patch_file(tmp_path / "b.csv", [(0, 0, 0.5), (0, MAX_COORDINATE, 0.5),
+                                                (0, MAX_COORDINATE + 1, 0.5)])
+    with pytest.raises(MalformedRow) as err:
+        load_patches(path)
+    assert err.value.line_no == 4
+
+
+def test_late_nan_reports_its_line_after_blank_crlf_lines(tmp_path):
+    lines = ["x,y,prob_malignant"] + [f"{i},0,0.5" for i in range(500)]
+    lines += ["", "", "7,7,nan", "8,8,0.5"]
+    path = tmp_path / "a.csv"
+    path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    with pytest.raises(ProbabilityOutOfRange) as err:
+        load_patches(path)
+    assert err.value.line_no == 504
+    assert str(err.value) == f"{path}:504: prob_malignant nan outside [0, 1]"
+
+
+@pytest.mark.parametrize("line", ["#1,2,0.5", "# a comment"])
+def test_hash_line_is_a_row_not_a_comment(tmp_path, line):
+    path = write(tmp_path / "a.csv", f"x,y,prob_malignant\n1,2,0.5\n{line}\n")
+    with pytest.raises(MalformedRow) as err:
+        load_patches(path)
+    assert err.value.line_no == 3
+
+
+def test_large_slide_round_trip_is_byte_identical(tmp_path):
+    rng = np.random.default_rng(3)
+    patches = np.zeros(10_000, dtype=PATCH_DTYPE)
+    patches["x"] = rng.integers(0, 10**6, patches.size)
+    patches["y"] = rng.integers(0, 10**6, patches.size)
+    patches["prob_malignant"] = rng.random(patches.size)
+    patches["prob_malignant"][:3] = [0.0, 1.0, 0.5]
+    path = tmp_path / "out.csv"
+    write_patches(patches, path)
+    assert load_patches(path).tobytes() == patches.tobytes()
+    assert _load_patches_rows(path).tobytes() == patches.tobytes()
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_patches, b"x,y,prob_malignant\n0,0,0.5\n1,\xff,0.5\n"),
+    (load_manifest, b"slide_id,label,predictions_path\r\ns1,n\xe9rmal,a.csv\r\n"),
+])
+def test_non_utf8_byte_reports_its_line(tmp_path, load, text):
+    path = tmp_path / "a.csv"
+    path.write_bytes(text)
+    with pytest.raises(MalformedRow) as err:
+        load(path)
+    assert err.value.line_no == text.count(b"\n")
+    assert "is not UTF-8" in str(err.value)
 
 
 def test_wrong_column_count(tmp_path):

@@ -15,6 +15,12 @@ from slidescreen.features import (
     connected_components,
     least_squares_regression_line,
 )
+from slidescreen.ingest import (
+    MalformedRow,
+    ProbabilityOutOfRange,
+    _load_patches_rows,
+    load_patches,
+)
 
 from oracles import as_partition, grid_refine_line, naive_components, pairwise_auc
 
@@ -69,3 +75,62 @@ def test_regression_line_matches_grid_oracle(bins):
     ys = np.asarray(bins)
     assert m == pytest.approx(float(xs @ (ys - ys.mean()) / (xs @ xs)), abs=1e-12)
 
+
+# Patch files: plain rows with a few odd lines put among them. An odd line
+# holds a cell or a layout where numpy's C reader and Python's int/float
+# (after CSV unquoting) might disagree; the plain rows around it let the
+# fast reader take the file whole when that one line passes.
+ODD_COORDINATES = [
+    str(2**53 - 1), str(2**53), str(2**53 + 1), str(2**63 - 1), str(2**63),
+    str(10**20), "-1", "-0", "+7", " 7 ", "7\t", "1_000", '"5"', "1.0", "1e3",
+    "0x10", "#1", "", " ", "nan", "\uff15",
+]
+ODD_PROBABILITIES = [
+    "nan", "-nan", "inf", "-inf", "1e400", "1e-400", "-0.0", "+0.5", " 0.5 ",
+    "0.2_5", '"0.5"', "1.5", "-0.1", ".5", "5e-1", "", "0x1p-1", "0.5,",
+]
+ODD_LINES = (
+    [f"{c},3,0.5" for c in ODD_COORDINATES] + [f"3,{c},0.5" for c in ODD_COORDINATES]
+    + [f"3,3,{p}" for p in ODD_PROBABILITIES]
+    + ["", "  ", "\t", "# note", "#1,2,0.5", "1,2", "1,2,0.5,", "1,2,0.5,0.5", "\r"]
+)
+plain_rows = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
+                       st.floats(0.0, 1.0)).map(lambda r: f"{r[0]},{r[1]},{r[2]!r}")
+odd_lines = st.sampled_from(ODD_LINES) | st.tuples(
+    st.sampled_from(ODD_COORDINATES), st.sampled_from(ODD_COORDINATES),
+    st.sampled_from(ODD_PROBABILITIES)).map(",".join)
+
+
+def patch_file_outcomes(path, lines, eol, final_eol=True):
+    """What load_patches and the row parser each make of one patch file:
+    the array bytes, or the error's class, message and line number."""
+    text = eol.join(["x,y,prob_malignant"] + lines) + (eol if final_eol else "")
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(load):
+        try:
+            return load(path).tobytes()
+        except (MalformedRow, ProbabilityOutOfRange) as exc:
+            return type(exc), str(exc), exc.line_no
+
+    return outcome(load_patches), outcome(_load_patches_rows)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("line", ODD_LINES)
+def test_each_odd_line_matches_row_parser(tmp_path, line, eol):
+    fast, rows = patch_file_outcomes(tmp_path / "slide.csv",
+                                     ["1,2,0.25", line, "4,5,0.75"], eol)
+    assert fast == rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(plain_rows, max_size=10),
+       st.lists(st.tuples(st.integers(0, 10), odd_lines), max_size=3),
+       st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_patch_reader_matches_row_parser(tmp_path_factory, lines, odd, eol, final_eol):
+    for position, line in odd:
+        lines.insert(position, line)
+    fast, rows = patch_file_outcomes(tmp_path_factory.mktemp("patches") / "slide.csv",
+                                     lines, eol, final_eol)
+    assert fast == rows
