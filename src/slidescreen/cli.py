@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 classification-pipeline failure, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -153,7 +154,32 @@ def _extract_all(manifest_path: Path, jobs: int):
     return evaluation.parallel_map(_extract_entry, entries, jobs)
 
 
+def _check_out_file(path: Path) -> None:
+    """Fail before any work if --out cannot be written as a file: its
+    parent must be an existing directory and it must not be one."""
+    if not path.parent.is_dir():
+        raise NotADirectoryError(f"--out {path}: {path.parent} is not an existing directory")
+    if path.is_dir():
+        raise IsADirectoryError(f"--out {path} is a directory")
+
+
+@contextlib.contextmanager
+def _out_dir(path: Path):
+    """Create the --out directory before any work; if the command then
+    fails, a directory created here is removed again while still empty."""
+    created = not path.exists()
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
+
+
 def cmd_extract(args) -> int:
+    _check_out_file(args.out)
     rows = _extract_all(args.manifest, args.jobs)
     features.write_features_csv(rows, args.out)
     print(f"wrote {len(rows)} feature rows to {args.out}")
@@ -179,13 +205,13 @@ def _train_config(args) -> netcore.TrainConfig:
 
 def cmd_cv(args) -> int:
     config = _train_config(args)
-    examples = _load_examples(args)
-    factory = baselines.classifier_factory(args.model, config)
-    report = evaluation.cross_validate(examples, factory, args.k, args.seed,
-                                       jobs=args.jobs)
-    args.out.mkdir(parents=True, exist_ok=True)
-    evaluation.write_report_csv(report, args.out / "report.csv")
-    evaluation.write_report_json(report, args.out / "report.json")
+    with _out_dir(args.out):
+        examples = _load_examples(args)
+        factory = baselines.classifier_factory(args.model, config)
+        report = evaluation.cross_validate(examples, factory, args.k, args.seed,
+                                           jobs=args.jobs)
+        evaluation.write_report_csv(report, args.out / "report.csv")
+        evaluation.write_report_json(report, args.out / "report.json")
     print(f"wrote {args.out / 'report.csv'}")
     return EXIT_OK
 
@@ -195,24 +221,25 @@ def cmd_compare(args) -> int:
     if repeated:
         raise UsageError(f"--models names {', '.join(repeated)} more than once")
     config = _train_config(args)
-    examples = _load_examples(args)
-    reports = baselines.run_comparison(examples, args.k, args.seed, config,
-                                       kinds=args.models, jobs=args.jobs)
-    args.out.mkdir(parents=True, exist_ok=True)
-    baselines.write_comparison_csv(reports, args.out / "comparison.csv")
-    baselines.write_comparison_json(reports, args.out / "comparison.json")
+    with _out_dir(args.out):
+        examples = _load_examples(args)
+        reports = baselines.run_comparison(examples, args.k, args.seed, config,
+                                           kinds=args.models, jobs=args.jobs)
+        baselines.write_comparison_csv(reports, args.out / "comparison.csv")
+        baselines.write_comparison_json(reports, args.out / "comparison.json")
     print(f"wrote {args.out / 'comparison.csv'}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     config = _train_config(args)
+    _check_out_file(args.out)
     examples = _load_examples(args)
-    net = widedeep.train_widedeep([e.features for e in examples],
-                                  [e.label for e in examples], config)
+    clf = widedeep.WideDeepClassifier(config).fit([e.features for e in examples],
+                                                  [e.label for e in examples], config.seed)
     meta = {"seed": args.seed, "epochs": args.epochs, "learning_rate": args.lr,
-            "n_training_slides": len(examples)}
-    netcore.save_model(net, args.out, widedeep.WIDEDEEP_TAG, meta)
+            "n_training_slides": len(examples), "loss": clf.loss_summary}
+    netcore.save_model(clf.net, args.out, widedeep.WIDEDEEP_TAG, meta)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -236,6 +263,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    _check_out_file(args.out)
     patches = ingest.load_patches(args.slide)
     lines = []
     if patches.size:
@@ -279,8 +307,7 @@ def main(argv=None) -> int:
             ingest.DuplicateSlideId, synth.InvalidConfig, GridTooLarge) as exc:
         print(f"slidescreen: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FileNotFoundError, IsADirectoryError, PermissionError,
-            netcore.ModelFormatError) as exc:
+    except (OSError, netcore.ModelFormatError) as exc:
         print(f"slidescreen: {exc}", file=sys.stderr)
         return EXIT_IO
     except (netcore.SingleClassDataset, netcore.EmptyDataset,

@@ -16,9 +16,9 @@ column 1 = malignant.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -29,7 +29,7 @@ RELU = "relu"
 SOFTMAX = "softmax"
 
 MODEL_FORMAT = "slidescreen-model"
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 N_CLASSES = 2
 
@@ -329,7 +329,9 @@ def require_both_classes(labels: np.ndarray) -> None:
 class NetClassifier:
     """fit/predict_proba adapter that trains one network of the given
     spec on a feature matrix; route maps the matrix (or a sequence of
-    rows) to the network's named inputs."""
+    rows) to the network's named inputs. After fit, loss_summary holds
+    the first, last and lowest pre-update loss of the training trace and
+    the 1-based epoch of the lowest."""
 
     def __init__(self, config: TrainConfig, spec: GraphSpec,
                  route: Callable[[np.ndarray], Mapping[str, np.ndarray]]):
@@ -337,12 +339,16 @@ class NetClassifier:
         self.spec = spec
         self.route = route
         self.net: NetworkGraph | None = None
+        self.loss_summary: dict | None = None
 
     def fit(self, X, labels: Sequence[int], seed: int = 0):
         labels = np.asarray(labels, dtype=int)
         require_both_classes(labels)
         net = init_network(self.spec, seed)
-        self.net, _ = train(net, self.route(X), labels, replace(self.config, seed=seed))
+        self.net, losses = train(net, self.route(X), labels, replace(self.config, seed=seed))
+        best = int(np.argmin(losses))  # the first epoch on a tie
+        self.loss_summary = {"first": losses[0], "last": losses[-1],
+                             "min": losses[best], "min_epoch": best + 1}
         return self
 
     def predict_proba(self, X) -> np.ndarray:
@@ -352,25 +358,23 @@ class NetClassifier:
         return forward(self.net, self.route(X))[:, 1]
 
 
-def _encode_array(arr: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _layer_doc(layer: DenseLayer) -> dict:
-    return {"activation": layer.activation,
-            "weights": _encode_array(layer.weights),
-            "biases": _encode_array(layer.biases)}
-
-
 def save_model(net: NetworkGraph, path, topology: str,
                meta: dict | None = None) -> None:
-    """Write a self-describing JSON model file.
+    """Write a model file: one line of ASCII JSON, the header, then the
+    payload, every parameter as little-endian float64 in
+    parameter_arrays() order (per layer: weights (out, in) row-major,
+    then biases).
 
-    Each layer's weights and biases are one base64 string of the array's
-    little-endian float64 bytes in row-major order, so a reloaded model
-    holds bit-identical parameters and reproduces forward outputs exactly.
+    The header holds the format tag and version, topology tag, spec,
+    meta and the activation of every layer, per stack. The spec gives
+    every array's shape, so the file holds no offsets. Reloading gives
+    bit-identical parameters, so forward outputs are reproduced exactly.
+
+    The file is written under a temporary name in the target directory
+    and renamed over the target, so a save that fails or is interrupted
+    leaves the previous file as it was and no partial file behind.
     """
-    doc = {
+    header = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "topology": topology,
@@ -379,92 +383,121 @@ def save_model(net: NetworkGraph, path, topology: str,
             "head_hidden": list(net.spec.head_hidden),
         },
         "meta": meta or {},
-        "params": {
-            "branches": [[_layer_doc(layer) for layer in branch]
-                         for branch in net.branches],
-            "head": [_layer_doc(layer) for layer in net.head],
+        "activations": {
+            "branches": [[layer.activation for layer in branch] for branch in net.branches],
+            "head": [layer.activation for layer in net.head],
         },
     }
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def _decode_array(path, what: str, text, shape: tuple[int, ...]) -> np.ndarray:
-    """One base64 parameter string as a writable float64 array of the
-    given shape; the byte count must be exactly what the shape needs."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
     try:
-        raw = base64.b64decode(text, validate=True)
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise ModelFormatError(f"{path}: {what} is not valid base64: {exc}") from None
-    expected = 8 * math.prod(shape)
-    if len(raw) != expected:
-        raise ModelFormatError(
-            f"{path}: {what} holds {len(raw)} bytes, spec shape {shape} needs {expected}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        with fh:
+            fh.write(json.dumps(header).encode("ascii") + b"\n")
+            for p in net.parameter_arrays():
+                fh.write(np.ascontiguousarray(p, dtype="<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _layers_from_doc(path, what: str, docs, widths: Sequence[int],
-                     activations: Sequence[str]) -> list[DenseLayer]:
-    """Parse one stack of layers and check it against the spec: layer i
-    maps widths[i] to widths[i + 1] with activations[i], and every
-    parameter is finite."""
-    if len(docs) != len(activations):
+def _check_format(path, doc: dict) -> None:
+    if doc.get("format") != MODEL_FORMAT:
+        raise ModelFormatError(f"{path}: unknown format {doc.get('format')!r}")
+    if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
-            f"{path}: {what} has {len(docs)} layers, spec says {len(activations)}")
-    layers = []
-    for i, doc in enumerate(docs):
-        weights = _decode_array(path, f"{what} layer {i} weights", doc["weights"],
-                                (widths[i + 1], widths[i]))
-        biases = _decode_array(path, f"{what} layer {i} biases", doc["biases"],
-                               (widths[i + 1],))
-        if doc["activation"] != activations[i]:
-            raise ModelFormatError(
-                f"{path}: {what} layer {i} activation {doc['activation']!r}, "
-                f"expected {activations[i]!r}")
-        if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
-            raise ModelFormatError(f"{path}: {what} layer {i} has non-finite parameters")
-        layers.append(DenseLayer(weights, biases, activations[i]))
-    return layers
+            f"{path}: unsupported model format version {doc.get('format_version')!r} "
+            f"(this build reads version {MODEL_FORMAT_VERSION}); "
+            f"re-run `slidescreen train` to write a new model file")
+
+
+def _read_header(path, fh) -> tuple[dict, int]:
+    """The header line of an open model file as a JSON object, and its
+    length in bytes. A first line that is not JSON may open a multi-line
+    document written by an older build; the rest of the file is then
+    read only to name its version in the error."""
+    line = fh.readline()
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        try:
+            older = json.loads((line + fh.read()).decode("utf-8"))
+        except ValueError:
+            older = None
+        if isinstance(older, dict):
+            _check_format(path, older)
+        raise ModelFormatError(
+            f"{path}: not a valid model file: header is not a line of UTF-8 JSON: {exc}"
+        ) from None
+    if not isinstance(header, dict):
+        raise ModelFormatError(f"{path}: not a valid model file: header is not a JSON object")
+    _check_format(path, header)
+    if not line.endswith(b"\n"):
+        raise ModelFormatError(f"{path}: header line has no newline, so no payload")
+    return header, len(line)
+
+
+def _width(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"layer width {value!r} is not an integer")
+    return value
 
 
 def load_model(path):
-    """Load a model file; returns (net, topology_tag, meta)."""
+    """Load a model file; returns (net, topology_tag, meta).
+
+    Only the header line is parsed. The payload's byte count is checked
+    against the spec before anything is allocated; the payload is then
+    read into one float64 buffer, of which every layer's weights and
+    biases are views.
+    """
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ModelFormatError(f"{path}: not a valid model file: {exc}") from None
-    try:
-        if doc["format"] != MODEL_FORMAT:
-            raise ModelFormatError(f"{path}: unknown format {doc.get('format')!r}")
-        if doc["format_version"] != MODEL_FORMAT_VERSION:
+    with open(path, "rb") as fh:
+        header, header_bytes = _read_header(path, fh)
+        try:
+            spec = GraphSpec(
+                branches=tuple(
+                    BranchSpec(b["name"], _width(b["input_width"]),
+                               tuple(_width(w) for w in b["hidden"]))
+                    for b in header["spec"]["branches"]
+                ),
+                head_hidden=tuple(_width(w) for w in header["spec"]["head_hidden"]),
+            )
+            spec.validate()
+            found = [*header["activations"]["branches"], header["activations"]["head"]]
+            expected = [list(activations) for _, _, activations in spec.stacks()]
+            if found != expected:
+                raise ModelFormatError(
+                    f"{path}: layer activations per stack {found}, spec says {expected}")
+            topology = header["topology"]
+            meta = header["meta"]
+        except (KeyError, TypeError, ValueError, InvalidTopology) as exc:
+            raise ModelFormatError(f"{path}: malformed model header: {exc}") from None
+
+        n_values = sum(widths[i + 1] * (widths[i] + 1)
+                       for _, widths, activations in spec.stacks()
+                       for i in range(len(activations)))
+        payload_bytes = os.fstat(fh.fileno()).st_size - header_bytes
+        if payload_bytes != 8 * n_values:
             raise ModelFormatError(
-                f"{path}: unsupported model format version {doc['format_version']!r} "
-                f"(this build reads version {MODEL_FORMAT_VERSION}); "
-                f"re-run `slidescreen train` to write a new model file")
-        spec = GraphSpec(
-            branches=tuple(
-                BranchSpec(b["name"], int(b["input_width"]), tuple(b["hidden"]))
-                for b in doc["spec"]["branches"]
-            ),
-            head_hidden=tuple(doc["spec"]["head_hidden"]),
-        )
-        spec.validate()
-        if len(doc["params"]["branches"]) != len(spec.branches):
-            raise ModelFormatError(
-                f"{path}: {len(doc['params']['branches'])} branches, "
-                f"spec says {len(spec.branches)}")
-        stacks = [
-            _layers_from_doc(path, what, layer_docs, widths, activations)
-            for (what, widths, activations), layer_docs
-            in zip(spec.stacks(), [*doc["params"]["branches"], doc["params"]["head"]])
-        ]
-        topology = doc["topology"]
-        meta = doc.get("meta", {})
-    except (KeyError, TypeError, ValueError, InvalidTopology) as exc:
-        raise ModelFormatError(f"{path}: malformed model document: {exc}") from None
+                f"{path}: payload holds {payload_bytes} bytes, spec needs {8 * n_values}")
+        values = np.empty(n_values, dtype="<f8")
+        if fh.readinto(values) != payload_bytes or fh.read(1):
+            raise ModelFormatError(f"{path}: file changed while it was read")
+    values = values.astype(np.float64, copy=False)  # a copy on big-endian hosts only
+
+    stacks = []
+    offset = 0
+    for what, widths, activations in spec.stacks():
+        layers = []
+        for i, activation in enumerate(activations):
+            n_out, n_in = widths[i + 1], widths[i]
+            weights = values[offset:offset + n_out * n_in].reshape(n_out, n_in)
+            biases = values[offset + n_out * n_in:offset + n_out * (n_in + 1)]
+            offset += n_out * (n_in + 1)
+            if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
+                raise ModelFormatError(f"{path}: {what} layer {i} has non-finite parameters")
+            layers.append(DenseLayer(weights, biases, activation))
+        stacks.append(layers)
     return NetworkGraph(spec, stacks[:-1], stacks[-1]), topology, meta

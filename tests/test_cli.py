@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from slidescreen import cli, netcore, widedeep
+from slidescreen import cli, features, ingest, netcore, widedeep
 from slidescreen.cli import main
 from slidescreen.features import extract_features, read_features_csv
 from slidescreen.ingest import load_manifest, load_slide
+
+from model_files import split_model_file, version_3_document, write_model_file
 
 
 def run(*argv):
@@ -219,9 +221,9 @@ class TestTrainPredict:
     def test_version_1_model_is_io_error(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         netcore.save_model(widedeep.build_widedeep(seed=0), model, widedeep.WIDEDEEP_TAG)
-        doc = json.loads(model.read_text(encoding="utf-8"))
-        doc["format_version"] = 1
-        model.write_text(json.dumps(doc), encoding="utf-8")
+        header, payload = split_model_file(model)
+        header["format_version"] = 1
+        write_model_file(model, header, payload)
         slide = tmp_path / "s.csv"
         slide.write_text("x,y,prob_malignant\n0,0,0.9\n", encoding="utf-8")
         capsys.readouterr()
@@ -229,18 +231,39 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert "version 1" in err and "slidescreen train" in err
 
+    def test_version_3_document_is_io_error(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(version_3_document(widedeep.build_widedeep(seed=0, hidden=4),
+                                            widedeep.WIDEDEEP_TAG), encoding="utf-8")
+        slide = tmp_path / "s.csv"
+        slide.write_text("x,y,prob_malignant\n0,0,0.9\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("predict", "--model", model, "--slide", slide) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "version 3" in err[0] and "slidescreen train" in err[0]
+
     def test_model_with_other_inputs_is_io_error(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         netcore.save_model(widedeep.build_widedeep(seed=0), model, widedeep.WIDEDEEP_TAG)
-        doc = json.loads(model.read_text(encoding="utf-8"))
-        doc["spec"]["branches"][0]["name"] = "histogram"
-        model.write_text(json.dumps(doc), encoding="utf-8")
+        header, payload = split_model_file(model)
+        header["spec"]["branches"][0]["name"] = "histogram"
+        write_model_file(model, header, payload)
         slide = tmp_path / "s.csv"
         slide.write_text("x,y,prob_malignant\n0,0,0.9\n", encoding="utf-8")
         capsys.readouterr()
         assert run("predict", "--model", model, "--slide", slide) == 2
         err = capsys.readouterr().err
         assert "histogram" in err and "wide-and-deep inputs" in err
+
+    def test_train_records_loss_summary(self, dataset, tmp_path):
+        for name in ("a.json", "b.json"):
+            assert run("train", "--manifest", dataset, "--seed", 3, "--epochs", 5,
+                       "--out", tmp_path / name) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        loss = split_model_file(tmp_path / "a.json")[0]["meta"]["loss"]
+        assert set(loss) == {"first", "last", "min", "min_epoch"}
+        assert 1 <= loss["min_epoch"] <= 5
+        assert loss["min"] <= min(loss["first"], loss["last"])
 
     def test_predict_before_model_exists(self, tmp_path):
         slide = tmp_path / "s.csv"
@@ -356,6 +379,40 @@ def test_non_utf8_input_is_validation_error(dataset, tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "is not UTF-8" in err[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "heatmap", "cv", "compare", "train",
+                                     "train-onto-directory"])
+def test_unusable_out_is_io_error_before_any_work(dataset, tmp_path, capsys,
+                                                  monkeypatch, command):
+    """An --out that cannot be written exits 2 with one stderr line, and
+    before any input is read or any epoch runs."""
+    taken = tmp_path / "f.csv"
+    taken.write_text("x,y,prob_malignant\n0,0,0.9\n", encoding="utf-8")
+    argv = {
+        "extract": ["extract", "--manifest", dataset, "--out", taken / "x"],
+        "heatmap": ["heatmap", "--slide", taken, "--out", taken / "x"],
+        "cv": ["cv", "--manifest", dataset, "--model", "widedeep", "--k", 3,
+               "--seed", 7, "--out", taken],
+        "compare": ["compare", "--manifest", dataset, "--k", 3, "--seed", 7,
+                    "--out", taken],
+        "train": ["train", "--manifest", dataset, "--seed", 7,
+                  "--out", tmp_path / "nodir" / "m.json"],
+        "train-onto-directory": ["train", "--manifest", dataset, "--seed", 7,
+                                 "--out", tmp_path],
+    }[command]
+
+    def tripwire(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for module, name in ((netcore, "train"), (ingest, "load_manifest"),
+                         (ingest, "load_patches"), (features, "read_features_csv")):
+        monkeypatch.setattr(module, name, tripwire)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("slidescreen: ")
+    assert taken.read_text(encoding="utf-8") == "x,y,prob_malignant\n0,0,0.9\n"
 
 
 def test_no_command_is_usage_error():

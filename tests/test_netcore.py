@@ -1,10 +1,12 @@
 """Network engine: initialization, forward pass, gradients, training,
 and model-file round-trips."""
 
-import base64
 import hashlib
 import json
 import math
+import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from slidescreen.netcore import (
     GraphSpec,
     InvalidTopology,
     ModelFormatError,
+    NetClassifier,
     ShapeMismatch,
     TrainConfig,
     TrainingDiverged,
@@ -26,6 +29,7 @@ from slidescreen.netcore import (
     train,
 )
 
+from model_files import split_model_file, version_3_document, write_model_file
 from oracles import finite_difference_gradients, max_relative_error
 
 
@@ -245,19 +249,39 @@ class TestModelFile:
         assert parameter_sha256(loaded) == parameter_sha256(net)
         for p in loaded.parameter_arrays():
             assert p.dtype == np.float64
-            assert p.flags.writeable and p.flags.c_contiguous
+            assert p.flags.writeable and p.flags.c_contiguous and p.flags.aligned
         after = forward(loaded, inputs)
         np.testing.assert_array_equal(before, after)
+
+    def test_layers_are_views_of_one_buffer(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(init_network(small_widedeep_spec(width=6), 2), path, "widedeep-v1")
+        loaded, _, _ = load_model(path)
+        buffer = loaded.branches[0][0].weights.base
+        assert buffer is not None and buffer.ndim == 1
+        assert all(p.base is buffer for p in loaded.parameter_arrays())
+
+    def test_layout_is_header_line_then_raw_float64(self, tmp_path):
+        net = init_network(small_widedeep_spec(width=3), 4)
+        path = tmp_path / "model.json"
+        save_model(net, path, "widedeep-v1", meta={"note": "café"})
+        raw = path.read_bytes()
+        header_line = raw[:raw.index(b"\n") + 1]
+        assert header_line.isascii()
+        assert json.loads(header_line)["meta"] == {"note": "café"}
+        expected = b"".join(p.astype("<f8").tobytes() for p in net.parameter_arrays())
+        assert raw[len(header_line):] == expected
 
     def test_branch_without_hidden_layers_saved_as_empty_stack(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(init_network(small_widedeep_spec(), 1), path, "widedeep-v1")
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["format_version"] == 3
-        assert set(doc["spec"]) == {"branches", "head_hidden"}
-        assert doc["spec"]["branches"][-1] == {"name": "mtr", "input_width": 1,
-                                               "hidden": []}
-        assert doc["params"]["branches"][-1] == []
+        header, _ = split_model_file(path)
+        assert header["format_version"] == 4
+        assert set(header["spec"]) == {"branches", "head_hidden"}
+        assert header["spec"]["branches"][-1] == {"name": "mtr", "input_width": 1,
+                                                  "hidden": []}
+        assert header["activations"]["branches"][-1] == []
+        assert header["activations"]["head"] == ["relu", "softmax"]
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "model.json"
@@ -276,79 +300,179 @@ class TestModelFile:
             load_model(tmp_path / "absent.json")
 
 
+class TestAtomicSave:
+    class Unwritable:
+        def __array__(self, dtype=None, copy=None):
+            raise RuntimeError("disk went away")
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(init_network(small_widedeep_spec(), 1), path, "widedeep-v1")
+        before = path.read_bytes()
+        net = init_network(small_widedeep_spec(), 2)
+        net.head[-1].biases = self.Unwritable()  # the last array: raises mid-write
+        with pytest.raises(RuntimeError, match="disk went away"):
+            save_model(net, path, "widedeep-v1")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
 class TestModelFileAgainstSpec:
-    """A model file whose parameters disagree with its own spec, or that
-    holds values no training run can produce, is rejected on load."""
+    """A model file whose header disagrees with its own spec, whose
+    payload is not exactly what the spec needs, or that holds values no
+    training run can produce, is rejected on load."""
 
     def saved_doc(self, tmp_path):
-        net = init_network(small_widedeep_spec(width=4), 5)
+        self.net = init_network(small_widedeep_spec(width=4), 5)
         path = tmp_path / "model.json"
-        save_model(net, path, "widedeep-v1")
-        return path, json.loads(path.read_text(encoding="utf-8"))
+        save_model(self.net, path, "widedeep-v1")
+        return (path, *split_model_file(path))
 
-    def assert_rejected(self, path, doc):
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ModelFormatError):
+    def assert_rejected(self, path, header, payload, match=None):
+        write_model_file(path, header, payload)
+        with pytest.raises(ModelFormatError, match=match):
             load_model(path)
 
-    @staticmethod
-    def plant(layer, key, index, value):
-        """Overwrite one float64 of an encoded parameter array."""
-        values = np.frombuffer(base64.b64decode(layer[key]), dtype="<f8").copy()
-        values[index] = value
-        layer[key] = base64.b64encode(values.tobytes()).decode("ascii")
+    def plant(self, payload, array, index, value):
+        """Overwrite one float64 of a parameter array in the payload."""
+        offset = 0
+        for p in self.net.parameter_arrays():
+            if p is array:
+                break
+            offset += p.size
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        values[offset + index] = value
+        return values.tobytes()
 
     def test_layer_counts_must_match_spec(self, tmp_path):
-        path, doc = self.saved_doc(tmp_path)
-        del doc["params"]["branches"][-1]
-        self.assert_rejected(path, doc)
-        path, doc = self.saved_doc(tmp_path)
-        doc["params"]["branches"][0].append(doc["params"]["branches"][0][0])
-        self.assert_rejected(path, doc)
-        path, doc = self.saved_doc(tmp_path)
-        del doc["params"]["head"][0]
-        self.assert_rejected(path, doc)
+        path, header, payload = self.saved_doc(tmp_path)
+        del header["activations"]["branches"][-1]
+        self.assert_rejected(path, header, payload)
+        path, header, payload = self.saved_doc(tmp_path)
+        header["activations"]["branches"][0].append("relu")
+        self.assert_rejected(path, header, payload)
+        path, header, payload = self.saved_doc(tmp_path)
+        del header["activations"]["head"][0]
+        self.assert_rejected(path, header, payload)
+        # one branch too many, holding what the head should
+        path, header, payload = self.saved_doc(tmp_path)
+        header["activations"]["branches"].append(header["activations"]["head"])
+        self.assert_rejected(path, header, payload)
 
     def test_activations_must_be_relu_then_softmax(self, tmp_path):
-        path, doc = self.saved_doc(tmp_path)
-        doc["params"]["head"][-1]["activation"] = "relu"
-        self.assert_rejected(path, doc)
-        path, doc = self.saved_doc(tmp_path)
-        doc["params"]["branches"][1][0]["activation"] = "softmax"
-        self.assert_rejected(path, doc)
+        path, header, payload = self.saved_doc(tmp_path)
+        header["activations"]["head"][-1] = "relu"
+        self.assert_rejected(path, header, payload)
+        path, header, payload = self.saved_doc(tmp_path)
+        header["activations"]["branches"][1][0] = "softmax"
+        self.assert_rejected(path, header, payload)
+
+    def test_invalid_spec_rejected(self, tmp_path):
+        for edit in (lambda s: s["branches"][0].update(input_width=0),
+                     # the right size, so only the type check catches it
+                     lambda s: s["branches"][0].update(hidden=[4.0]),
+                     lambda s: s["branches"][0].update(hidden=[True]),
+                     lambda s: s["branches"].append(s["branches"][0]),
+                     lambda s: s.pop("head_hidden")):
+            path, header, payload = self.saved_doc(tmp_path)
+            edit(header["spec"])
+            self.assert_rejected(path, header, payload)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_parameters_rejected(self, tmp_path, value):
-        path, doc = self.saved_doc(tmp_path)
-        self.plant(doc["params"]["branches"][2][0], "weights", 0, value)
-        self.assert_rejected(path, doc)
-        path, doc = self.saved_doc(tmp_path)
-        self.plant(doc["params"]["head"][-1], "biases", 1, value)
-        self.assert_rejected(path, doc)
+        path, header, payload = self.saved_doc(tmp_path)
+        payload = self.plant(payload, self.net.branches[2][0].weights, 0, value)
+        self.assert_rejected(path, header, payload)
+        path, header, payload = self.saved_doc(tmp_path)
+        payload = self.plant(payload, self.net.head[-1].biases, 1, value)
+        self.assert_rejected(path, header, payload)
 
-    @pytest.mark.parametrize("bad", ["!", "*", " ", "\n", "\u00e9"])
-    def test_non_base64_characters_rejected(self, tmp_path, bad):
-        # inserted, not replacing, so a decoder that skips them would
+    @pytest.mark.parametrize("bad", [b"!", b"*", b" ", b"\n", b"\xe9"])
+    def test_stray_byte_after_header_rejected(self, tmp_path, bad):
+        # inserted, not replacing, so a reader that skipped it would
         # still find the right byte count
-        path, doc = self.saved_doc(tmp_path)
-        layer = doc["params"]["branches"][0][0]
-        layer["weights"] = layer["weights"][:4] + bad + layer["weights"][4:]
-        self.assert_rejected(path, doc)
+        path, header, payload = self.saved_doc(tmp_path)
+        self.assert_rejected(path, header, bad + payload, match="payload holds")
 
-    @pytest.mark.parametrize("extra", [-8, 7])
+    @pytest.mark.parametrize("extra", [-8, 7, 8])
     def test_payload_length_must_match_spec(self, tmp_path, extra):
-        path, doc = self.saved_doc(tmp_path)
-        layer = doc["params"]["head"][0]
-        raw = base64.b64decode(layer["weights"])
-        raw = raw[:extra] if extra < 0 else raw + bytes(extra)
-        layer["weights"] = base64.b64encode(raw).decode("ascii")
-        self.assert_rejected(path, doc)
+        path, header, payload = self.saved_doc(tmp_path)
+        payload = payload[:extra] if extra < 0 else payload + bytes(extra)
+        self.assert_rejected(path, header, payload, match="payload holds")
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_older_version_document_rejected(self, tmp_path, version):
-        path, doc = self.saved_doc(tmp_path)
-        doc["format_version"] = version
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ModelFormatError,
-                           match=f"version {version}.*slidescreen train"):
+    def test_file_shrinking_while_read_rejected(self, tmp_path, monkeypatch):
+        # the size taken before allocating still says the payload is whole
+        path, header, payload = self.saved_doc(tmp_path)
+        write_model_file(path, header, payload[:-8])
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat",
+                            lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
+        with pytest.raises(ModelFormatError, match="changed while"):
             load_model(path)
+
+    def test_huge_spec_rejected_without_allocating(self, tmp_path):
+        path, header, payload = self.saved_doc(tmp_path)
+        header["spec"]["head_hidden"] = [10**12]
+        write_model_file(path, header, payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match="payload holds"):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_header_not_utf8_rejected(self, tmp_path):
+        path, header, payload = self.saved_doc(tmp_path)
+        line = json.dumps(header).encode("ascii").replace(b"widedeep-v1", b"wide\xffdeep")
+        path.write_bytes(line + b"\n" + payload)
+        with pytest.raises(ModelFormatError, match="UTF-8 JSON"):
+            load_model(path)
+
+    def test_header_without_newline_rejected(self, tmp_path):
+        path, header, _ = self.saved_doc(tmp_path)
+        path.write_bytes(json.dumps(header).encode("ascii"))
+        with pytest.raises(ModelFormatError, match="no newline"):
+            load_model(path)
+
+    def test_wrong_format_tag_rejected(self, tmp_path):
+        path, header, payload = self.saved_doc(tmp_path)
+        header["format"] = "other-model"
+        self.assert_rejected(path, header, payload, match="unknown format")
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_version_document_rejected(self, tmp_path, version):
+        path, header, payload = self.saved_doc(tmp_path)
+        header["format_version"] = version
+        self.assert_rejected(path, header, payload,
+                             match=f"version {version}.*slidescreen train")
+
+    def test_multiline_version_3_document_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(version_3_document(init_network(small_widedeep_spec(), 3),
+                                           "widedeep-v1"), encoding="utf-8")
+        assert path.read_text(encoding="utf-8").startswith("{\n")
+        with pytest.raises(ModelFormatError, match="version 3.*slidescreen train"):
+            load_model(path)
+
+
+class TestLossSummary:
+    def test_five_epoch_fit_summarizes_trace(self):
+        rng = np.random.default_rng(8)
+        spec = tiny_spec()
+        X = rng.normal(size=(12, 4))
+        labels = np.array([0, 1] * 6)
+
+        def route(X):
+            X = np.asarray(X)
+            return {"x": X[:, :3], "w": X[:, 3:]}
+
+        config = TrainConfig(epochs=5, learning_rate=0.05)
+        clf = NetClassifier(config, spec, route).fit(X, labels, seed=4)
+        _, losses = train(init_network(spec, 4), route(X), labels, config)
+        best = int(np.argmin(losses))
+        assert clf.loss_summary == {"first": losses[0], "last": losses[4],
+                                    "min": losses[best], "min_epoch": best + 1}
+        assert 1 <= clf.loss_summary["min_epoch"] <= 5
+        assert clf.loss_summary["min"] == min(losses)
