@@ -30,7 +30,7 @@ import numpy as np
 from .evaluation import (
     EvaluationReport,
     LabeledExample,
-    cross_validate,
+    cross_validate_each,
     report_doc,
     write_json,
     write_metrics_csv,
@@ -132,42 +132,63 @@ class _TreeNode:
     vote: int = NORMAL
 
 
-def _gini(y: np.ndarray) -> float:
-    if y.size == 0:
+def _gini(n_mal: int, n: int) -> float:
+    """Gini impurity of n labels of which n_mal are malignant."""
+    if n == 0:
         return 0.0
-    p = np.count_nonzero(y == MALIGNANT) / y.size
+    p = n_mal / n
     return 2.0 * p * (1.0 - p)
-
-
-def _majority(y: np.ndarray) -> int:
-    n_mal = np.count_nonzero(y == MALIGNANT)
-    # vote ties go to malignant, matching the screening tie rule
-    return MALIGNANT if 2 * n_mal >= y.size else NORMAL
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
                n_split_features: int) -> _TreeNode:
-    node_gini = _gini(y)
+    """Grow a tree to purity. A node splits at the midpoint between two
+    adjacent distinct values of a sampled feature (rows with x < midpoint
+    go left) with the lowest weighted Gini impurity, the first in feature
+    draw order, then threshold order, on a tie; it stays a leaf when no
+    split lowers the node's impurity. All midpoints of all sampled
+    features are scored at once, with _gini's float operations."""
+    n = y.size
+    malignant = y == MALIGNANT
+    n_mal_node = np.count_nonzero(malignant)
+    node_gini = _gini(n_mal_node, n)
     if node_gini == 0.0:
-        return _TreeNode(vote=int(y[0]) if y.size else NORMAL)
+        return _TreeNode(vote=int(y[0]) if n else NORMAL)
     features = rng.choice(X.shape[1], size=n_split_features, replace=False)
-    best = None  # (weighted_gini, feature, threshold)
-    for f in features:
-        values = np.unique(X[:, f])
-        if values.size < 2:
-            continue
-        for thr in (values[:-1] + values[1:]) / 2.0:
-            left = X[:, f] < thr
-            wg = (np.count_nonzero(left) * _gini(y[left])
-                  + np.count_nonzero(~left) * _gini(y[~left])) / y.size
-            if best is None or wg < best[0]:
-                best = (wg, int(f), float(thr))
-    if best is None or best[0] >= node_gini:
-        # impure but unsplittable on the sampled features
-        return _TreeNode(vote=_majority(y))
-    _, f, thr = best
-    left = X[:, f] < thr
-    node = _TreeNode(feature=f, threshold=thr)
+    # column j: sampled feature j sorted; row i: the midpoint after row i
+    order = np.argsort(X[:, features], axis=0, kind="stable")
+    values = X[order, features]
+    n_mal = np.cumsum(malignant[order], axis=0)
+    low, high = values[:-1], values[1:]
+    distinct = low != high
+    with np.errstate(over="ignore"):
+        thresholds = (low + high) / 2.0
+    n_left = np.arange(1, n)[:, None]
+    mal_left = n_mal[:-1]
+    n_right = n - n_left
+    mal_right = n_mal[-1] - mal_left
+    p_left = mal_left / n_left
+    p_right = mal_right / n_right
+    weighted = (n_left * (2.0 * p_left * (1.0 - p_left))
+                + n_right * (2.0 * p_right * (1.0 - p_right))) / n
+    weighted = np.where(distinct, weighted, np.inf)
+    # x < midpoint holds for the rows up to the lower value, unless the
+    # midpoint of two adjacent doubles rounded down onto it (or the sum
+    # overflowed): count those rows exactly
+    for i, j in zip(*np.nonzero(distinct & ((thresholds <= low) | (thresholds > high)))):
+        left = int(np.searchsorted(values[:, j], thresholds[i, j], side="left"))
+        mal = int(n_mal[left - 1, j]) if left else 0
+        weighted[i, j] = (left * _gini(mal, left)
+                          + (n - left) * _gini(int(n_mal[-1, j]) - mal, n - left)) / n
+    best = int(np.argmin(weighted.T))  # the first minimum in feature, then threshold order
+    j, i = divmod(best, n - 1)
+    if not weighted[i, j] < node_gini:
+        # impure but unsplittable on the sampled features: the majority
+        # votes, and ties go to malignant, matching the screening tie rule
+        return _TreeNode(vote=MALIGNANT if 2 * n_mal_node >= n else NORMAL)
+    feature, threshold = int(features[j]), float(thresholds[i, j])
+    left = X[:, feature] < threshold
+    node = _TreeNode(feature=feature, threshold=threshold)
     node.left = _grow_tree(X[left], y[left], rng, n_split_features)
     node.right = _grow_tree(X[~left], y[~left], rng, n_split_features)
     return node
@@ -256,12 +277,11 @@ def run_comparison(examples: Sequence[LabeledExample], k: int, seed: int,
                    kinds: Sequence[str] = CLASSIFIER_KINDS,
                    jobs: int = 1) -> dict[str, EvaluationReport]:
     """Cross-validate every classifier under the identical fold assignment
-    (same dataset, K and seed); returns reports keyed by classifier kind."""
-    return {
-        kind: cross_validate(examples, classifier_factory(kind, config),
-                             k, seed, jobs=jobs)
-        for kind in kinds
-    }
+    (same dataset, K and seed), every (kind, fold) pair in one pool of up
+    to jobs workers; returns reports keyed by classifier kind."""
+    return cross_validate_each(
+        examples, {kind: classifier_factory(kind, config) for kind in kinds},
+        k, seed, jobs=jobs)
 
 
 def write_comparison_csv(reports: dict[str, EvaluationReport], path) -> None:

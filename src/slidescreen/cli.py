@@ -66,12 +66,7 @@ def _add_train_args(sub):
     sub.add_argument("--lr", type=float, default=1e-3)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="slidescreen",
-                     description="slide-level cancer screening pipeline")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("synth", parents=[], help="generate a synthetic dataset")
+def _add_synth(p):
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--slides-per-label", type=int, default=100)
@@ -83,13 +78,15 @@ def build_parser() -> _Parser:
     p.add_argument("--noise-rate", type=float, default=0.02)
     p.set_defaults(func=cmd_synth)
 
-    p = subs.add_parser("extract", help="compute per-slide feature vectors")
+
+def _add_extract(p):
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="feature CSV path")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_extract)
 
-    p = subs.add_parser("cv", help="stratified K-fold cross-validation")
+
+def _add_cv(p):
     _add_dataset_args(p)
     p.add_argument("--model", choices=baselines.CLASSIFIER_KINDS,
                    default="widedeep")
@@ -98,7 +95,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_cv)
 
-    p = subs.add_parser("compare", help="cross-validate all classifiers")
+
+def _add_compare(p):
     _add_dataset_args(p)
     p.add_argument("--models", nargs="+", choices=baselines.CLASSIFIER_KINDS,
                    default=list(baselines.CLASSIFIER_KINDS))
@@ -107,22 +105,50 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_compare)
 
-    p = subs.add_parser("train", help="train the wide-and-deep model")
+
+def _add_train(p):
     _add_dataset_args(p)
     _add_train_args(p)
     p.add_argument("--out", type=Path, required=True, help="model file path")
     p.set_defaults(func=cmd_train)
 
-    p = subs.add_parser("predict", help="classify one slide with a trained model")
+
+def _add_predict(p):
     p.add_argument("--model", type=Path, required=True, help="model file")
     p.add_argument("--slide", type=Path, required=True, help="patch CSV")
     p.set_defaults(func=cmd_predict)
 
-    p = subs.add_parser("heatmap", help="export a probability grid for a slide")
+
+def _add_heatmap(p):
     p.add_argument("--slide", type=Path, required=True, help="patch CSV")
     p.add_argument("--out", type=Path, required=True, help="grid CSV path")
     p.set_defaults(func=cmd_heatmap)
 
+
+# name -> (help, adds the subcommand's arguments), in the order of --help
+COMMANDS = {
+    "synth": ("generate a synthetic dataset", _add_synth),
+    "extract": ("compute per-slide feature vectors", _add_extract),
+    "cv": ("stratified K-fold cross-validation", _add_cv),
+    "compare": ("cross-validate all classifiers", _add_compare),
+    "train": ("train the wide-and-deep model", _add_train),
+    "predict": ("classify one slide with a trained model", _add_predict),
+    "heatmap": ("export a probability grid for a slide", _add_heatmap),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The command-line parser. Given a command, only that subcommand is
+    built, for argument lists that start with it: every message a parse
+    of such a list prints is the same as from the full parser, whose
+    usage line, listing every command, it keeps."""
+    parser = _Parser(prog="slidescreen",
+                     description="slide-level cancer screening pipeline")
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            add_arguments(subs.add_parser(name, help=help_text))
     return parser
 
 
@@ -290,7 +316,8 @@ def cmd_heatmap(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -14,7 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -201,6 +201,40 @@ def _run_fold(task):
     return np.asarray(clf.predict_proba(X_test), dtype=float)
 
 
+def cross_validate_each(examples: Sequence[LabeledExample],
+                        factories: Mapping[str, Callable[[], object]],
+                        k: int, seed: int, jobs: int = 1) -> dict[str, EvaluationReport]:
+    """cross_validate of every factory under one fold assignment, keyed
+    like factories. All (factory, fold) tasks, in factory order then fold
+    order, share one pool of up to jobs workers."""
+    assignment = stratified_kfold([(e.slide_id, e.label) for e in examples],
+                                  k, seed)
+    X = np.array([e.features for e in examples], dtype=float)
+    y = np.array([e.label for e in examples], dtype=int)
+    row_of = {e.slide_id: i for i, e in enumerate(examples)}
+    splits, fold_labels = [], []
+    for i, fold_ids in enumerate(assignment.folds):
+        train = np.array([row_of[s] for j, fold in enumerate(assignment.folds)
+                          if j != i for s in fold], dtype=int)
+        test = np.array([row_of[s] for s in fold_ids], dtype=int)
+        splits.append((X[train], y[train], X[test], derive_seed(seed, f"fold-{i}")))
+        fold_labels.append(y[test])
+    tasks = [(factory, *split) for factory in factories.values() for split in splits]
+    scores = iter(parallel_map(_run_fold, tasks, jobs))
+    reports = {}
+    for name in factories:
+        folds = []
+        for i, y_true in enumerate(fold_labels):
+            fold_scores = next(scores)
+            y_pred = np.where(fold_scores >= 0.5, MALIGNANT, NORMAL)
+            cm = confusion_matrix(y_true, y_pred)
+            metrics = replace(compute_metrics(cm), auc=roc_auc(fold_scores, y_true))
+            folds.append(FoldResult(i + 1, cm, metrics))
+        average = mean_metrics([f.metrics for f in folds])
+        reports[name] = EvaluationReport(tuple(folds), average, assignment.folds)
+    return reports
+
+
 def cross_validate(examples: Sequence[LabeledExample],
                    factory: Callable[[], object],
                    k: int, seed: int, jobs: int = 1) -> EvaluationReport:
@@ -210,29 +244,7 @@ def cross_validate(examples: Sequence[LabeledExample],
     its own seed derived from the master seed, so results are identical
     whether folds run serially or in parallel.
     """
-    assignment = stratified_kfold([(e.slide_id, e.label) for e in examples],
-                                  k, seed)
-    X = np.array([e.features for e in examples], dtype=float)
-    y = np.array([e.label for e in examples], dtype=int)
-    row_of = {e.slide_id: i for i, e in enumerate(examples)}
-    tasks = []
-    fold_labels = []
-    for i, fold_ids in enumerate(assignment.folds):
-        train = np.array([row_of[s] for j, fold in enumerate(assignment.folds)
-                          if j != i for s in fold], dtype=int)
-        test = np.array([row_of[s] for s in fold_ids], dtype=int)
-        tasks.append((factory, X[train], y[train], X[test],
-                      derive_seed(seed, f"fold-{i}")))
-        fold_labels.append(y[test])
-    folds = []
-    for i, (scores, y_true) in enumerate(zip(parallel_map(_run_fold, tasks, jobs),
-                                             fold_labels)):
-        y_pred = np.where(scores >= 0.5, MALIGNANT, NORMAL)
-        cm = confusion_matrix(y_true, y_pred)
-        metrics = replace(compute_metrics(cm), auc=roc_auc(scores, y_true))
-        folds.append(FoldResult(i + 1, cm, metrics))
-    average = mean_metrics([f.metrics for f in folds])
-    return EvaluationReport(tuple(folds), average, assignment.folds)
+    return cross_validate_each(examples, {"": factory}, k, seed, jobs)[""]
 
 
 def write_metrics_csv(key: str, rows: Sequence[tuple[str, MetricSet]],

@@ -172,8 +172,9 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+    """The layer's output; ReLU overwrites z with it."""
     if activation == RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if activation == SOFTMAX:
         return _softmax(z)
     raise InvalidTopology(f"unknown activation {activation!r}")
@@ -204,11 +205,14 @@ def _check_inputs(net: NetworkGraph, inputs: Mapping[str, np.ndarray]) -> dict[s
 
 
 def _stack_forward(layers: Sequence[DenseLayer], a: np.ndarray):
-    """Run one stack on its input; returns its output and the (a_prev, z)
-    of every layer for backprop. An empty stack returns its input."""
+    """Run one stack on its input; returns its output and the (a_prev, out)
+    of every layer for backprop, where out is a ReLU layer's output (its
+    pre-activation is positive exactly where the output is) and the
+    softmax layer's logits. An empty stack returns its input."""
     caches = []
     for layer in layers:
-        z = a @ layer.weights.T + layer.biases
+        z = a @ layer.weights.T
+        z += layer.biases
         caches.append((a, z))
         a = _activate(z, layer.activation)
     return a, caches
@@ -239,17 +243,20 @@ def _log_softmax_loss(z: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(lse - z[np.arange(z.shape[0]), labels]))
 
 
-def _stack_backward(layers: Sequence[DenseLayer], caches, delta: np.ndarray):
+def _stack_backward(layers: Sequence[DenseLayer], caches, delta: np.ndarray,
+                    input_grad: bool):
     """Backprop through one stack. delta is d(loss)/d(stack output), or
     d(loss)/d(z) where the last layer is the softmax, whose delta is
-    combined with the loss. Returns the flat [dW, db, ...] of the stack's
-    layers in order, and d(loss)/d(stack input)."""
+    combined with the loss; it is overwritten. Returns the flat
+    [dW, db, ...] of the stack's layers in order, and d(loss)/d(stack
+    input), or None when input_grad is false."""
     grads = []
-    for layer, (a_prev, z) in zip(reversed(layers), reversed(caches)):
+    for i in reversed(range(len(layers))):
+        layer, (a_prev, out) = layers[i], caches[i]
         if layer.activation == RELU:
-            delta = delta * (z > 0)
+            delta = np.multiply(delta, out > 0, out=delta)
         grads.append((delta.T @ a_prev, delta.sum(axis=0)))
-        delta = delta @ layer.weights
+        delta = delta @ layer.weights if i or input_grad else None
     return [g for pair in reversed(grads) for g in pair], delta
 
 
@@ -273,18 +280,56 @@ def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
     onehot = np.zeros_like(probs)
     onehot[np.arange(n), labels] = 1.0
     delta = (probs - onehot) / n  # d(loss)/d(z_final), mean already applied
-    head_grads, delta = _stack_backward(net.head, caches[-1], delta)
+    head_grads, delta = _stack_backward(net.head, caches[-1], delta,
+                                        input_grad=any(net.branches))
 
-    # split the concat gradient back into per-branch slices
+    # split the concat gradient back into per-branch slices (copies, as
+    # the branches overwrite their delta)
     flat = []
     offset = 0
     for layers, stack_caches, (_, widths, _) in zip(net.branches, caches,
                                                      net.spec.stacks()):
-        grads, _ = _stack_backward(layers, stack_caches,
-                                   delta[:, offset:offset + widths[-1]])
+        if layers:
+            grads, _ = _stack_backward(layers, stack_caches,
+                                       delta[:, offset:offset + widths[-1]].copy(),
+                                       input_grad=False)
+            flat += grads
         offset += widths[-1]
-        flat += grads
     return loss, flat + head_grads
+
+
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+_ADAM_BLOCK = 32768  # elements; one block of the step's six arrays fits in L2
+
+
+def _adam_update(p, g, m, v, lr: float, bc1: float, bc2: float, s1, s2) -> None:
+    """One Adam step of one flat parameter array, in place, block by
+    block, through the scratch buffers s1 and s2. The elementwise
+    operations are those of
+
+        m += (1 - BETA1) * (g - m)
+        v += (1 - BETA2) * (g * g - v)
+        p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)
+
+    in the same order, so every bit of the result is the same."""
+    for start in range(0, p.size, _ADAM_BLOCK):
+        end = start + _ADAM_BLOCK
+        pb, gb, mb, vb = p[start:end], g[start:end], m[start:end], v[start:end]
+        a, b = s1[:pb.size], s2[:pb.size]
+        np.subtract(gb, mb, out=a)
+        a *= 1.0 - _BETA1
+        mb += a
+        np.multiply(gb, gb, out=a)
+        a -= vb
+        a *= 1.0 - _BETA2
+        vb += a
+        np.divide(mb, bc1, out=a)
+        a *= lr
+        np.divide(vb, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += _EPS
+        a /= b
+        pb -= a
 
 
 def train(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
@@ -299,10 +344,12 @@ def train(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
     labels = np.asarray(labels, dtype=int)
     if labels.size == 0:
         raise EmptyDataset("training set is empty")
-    params = net.parameter_arrays()
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    # flat views: every parameter array is C-contiguous (init_network and
+    # load_model make them so), and so are the gradients
+    params = [p.reshape(-1) for p in net.parameter_arrays()]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
+    scratch = [np.empty(min(_ADAM_BLOCK, max(p.size for p in params))) for _ in range(2)]
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.epochs + 1):
@@ -311,12 +358,11 @@ def train(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
                 raise TrainingDiverged(
                     f"loss is {loss} at epoch {t} (learning rate {config.learning_rate})")
             losses.append(loss)
-            bc1 = 1.0 - beta1 ** t
-            bc2 = 1.0 - beta2 ** t
+            bc1 = 1.0 - _BETA1 ** t
+            bc2 = 1.0 - _BETA2 ** t
             for p, g, mi, vi in zip(params, grads, m, v):
-                mi += (1.0 - beta1) * (g - mi)
-                vi += (1.0 - beta2) * (g * g - vi)
-                p -= config.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+                _adam_update(p, g.reshape(-1), mi, vi, config.learning_rate, bc1, bc2,
+                             *scratch)
     return net, losses
 
 

@@ -119,3 +119,115 @@ def knn_proba(train_x, train_y, query, k, positive=1):
     d2 = [float(((x - query) ** 2).sum()) for x in train_x]
     order = sorted(range(len(train_x)), key=lambda i: (d2[i], i))[:k]
     return sum(1 for i in order if train_y[i] == positive) / k
+
+
+def _naive_gini(y, positive=1):
+    if y.size == 0:
+        return 0.0
+    p = np.count_nonzero(y == positive) / y.size
+    return 2.0 * p * (1.0 - p)
+
+
+def naive_grow_tree(X, y, rng, n_split_features, positive=1, negative=0):
+    """Gini decision tree grown to purity by scanning every midpoint of
+    every sampled feature, one boolean mask and two impurities per
+    midpoint; the first strict minimum wins. A split is (feature,
+    threshold.hex(), left, right) with rows x < threshold on the left; a
+    leaf is ("leaf", vote), and an impure leaf votes for the majority,
+    ties to positive."""
+    node_gini = _naive_gini(y, positive)
+    if node_gini == 0.0:
+        return ("leaf", int(y[0]) if y.size else negative)
+    features = rng.choice(X.shape[1], size=n_split_features, replace=False)
+    best = None  # (weighted_gini, feature, threshold)
+    for f in features:
+        values = np.unique(X[:, f])
+        if values.size < 2:
+            continue
+        for thr in (values[:-1] + values[1:]) / 2.0:
+            left = X[:, f] < thr
+            wg = (np.count_nonzero(left) * _naive_gini(y[left], positive)
+                  + np.count_nonzero(~left) * _naive_gini(y[~left], positive)) / y.size
+            if best is None or wg < best[0]:
+                best = (wg, int(f), float(thr))
+    if best is None or best[0] >= node_gini:
+        n_pos = np.count_nonzero(y == positive)
+        return ("leaf", positive if 2 * n_pos >= y.size else negative)
+    _, f, thr = best
+    left = X[:, f] < thr
+    return (f, thr.hex(),
+            naive_grow_tree(X[left], y[left], rng, n_split_features, positive, negative),
+            naive_grow_tree(X[~left], y[~left], rng, n_split_features, positive, negative))
+
+
+def _reference_stack_backward(layers, caches, delta):
+    grads = []
+    for layer, (a_prev, z) in zip(reversed(layers), reversed(caches)):
+        if layer.activation == "relu":
+            delta = delta * (z > 0)
+        grads.append((delta.T @ a_prev, delta.sum(axis=0)))
+        delta = delta @ layer.weights
+    return [g for pair in reversed(grads) for g in pair], delta
+
+
+def reference_train(net, inputs, labels, epochs, learning_rate):
+    """Full-batch Adam on a netcore NetworkGraph with every intermediate a
+    new array: ReLU masks from the pre-activations, every layer's input
+    gradient, and Adam written as three whole-array expressions. Updates
+    the net's parameter arrays in place and returns the pre-update loss
+    of every epoch; a non-finite loss ends the trace and the training."""
+    labels = np.asarray(labels, dtype=int)
+    n = labels.size
+    params = net.parameter_arrays()
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    losses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, epochs + 1):
+            outputs, caches = [], []
+            for bspec, layers in zip(net.spec.branches, net.branches):
+                a = np.asarray(inputs[bspec.name], dtype=float)
+                cache = []
+                for layer in layers:
+                    z = a @ layer.weights.T + layer.biases
+                    cache.append((a, z))
+                    a = np.maximum(z, 0.0)
+                outputs.append(a)
+                caches.append(cache)
+            a = np.concatenate(outputs, axis=1)
+            head_cache = []
+            for layer in net.head:
+                z = a @ layer.weights.T + layer.biases
+                head_cache.append((a, z))
+                if layer.activation == "relu":
+                    a = np.maximum(z, 0.0)
+                else:
+                    e = np.exp(z - z.max(axis=1, keepdims=True))
+                    a = e / e.sum(axis=1, keepdims=True)
+            zmax = z.max(axis=1, keepdims=True)
+            lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+            loss = float(np.mean(lse - z[np.arange(n), labels]))
+            losses.append(loss)
+            if not math.isfinite(loss):
+                break
+
+            onehot = np.zeros_like(a)
+            onehot[np.arange(n), labels] = 1.0
+            head_grads, delta = _reference_stack_backward(net.head, head_cache,
+                                                          (a - onehot) / n)
+            grads, offset = [], 0
+            for layers, cache, out in zip(net.branches, caches, outputs):
+                branch_grads, _ = _reference_stack_backward(
+                    layers, cache, delta[:, offset:offset + out.shape[1]])
+                offset += out.shape[1]
+                grads += branch_grads
+            grads += head_grads
+
+            bc1 = 1.0 - beta1 ** t
+            bc2 = 1.0 - beta2 ** t
+            for p, g, mi, vi in zip(params, grads, m, v):
+                mi += (1.0 - beta1) * (g - mi)
+                vi += (1.0 - beta2) * (g * g - vi)
+                p -= learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+    return losses

@@ -1,5 +1,6 @@
 """Comparison classifiers: behavior, determinism and oracle agreement."""
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,8 @@ from slidescreen.baselines import (
     run_comparison,
     write_comparison_csv,
 )
-from slidescreen.evaluation import LabeledExample
+from slidescreen import evaluation
+from slidescreen.evaluation import LabeledExample, cross_validate
 from slidescreen.features import LSRL, MCC, MPH, MTR, N_FEATURES
 from slidescreen.ingest import MALIGNANT, NORMAL
 from slidescreen.netcore import (
@@ -225,6 +227,35 @@ class TestComparison:
                                  kinds=("knn", "svm", "rf"))
         assignments = {kind: rep.fold_slide_ids for kind, rep in reports.items()}
         assert assignments["knn"] == assignments["svm"] == assignments["rf"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reports_equal_separate_cross_validations(self, jobs):
+        examples = self.make_examples()
+        config = TrainConfig(epochs=5, learning_rate=1e-3)
+        kinds = ("ann", "svm", "rf", "knn")
+        reports = run_comparison(examples, 3, seed=17, config=config, kinds=kinds,
+                                 jobs=jobs)
+        assert list(reports) == list(kinds)
+        for kind in kinds:
+            assert reports[kind] == cross_validate(
+                examples, classifier_factory(kind, config), 3, 17)
+
+    def test_one_pool_for_every_model_and_fold(self, monkeypatch):
+        calls = []
+
+        def recording_map(fn, items, jobs=1):
+            calls.append((len(items), jobs))
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(evaluation, "parallel_map", recording_map)
+        run_comparison(self.make_examples(), 3, seed=18,
+                       config=TrainConfig(epochs=2), kinds=("ann", "svm", "rf", "knn"),
+                       jobs=2)
+        assert calls == [(4 * 3, 2)]
+
+    def test_cross_validate_signature_kept(self):
+        assert list(inspect.signature(cross_validate).parameters) == \
+            ["examples", "factory", "k", "seed", "jobs"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -421,3 +421,36 @@ def test_no_command_is_usage_error():
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 64
+
+
+# Argument lists whose parse ends the command early: with help, or with a
+# usage error raised by the top-level parser or by the subcommand's.
+EARLY_EXITS = [
+    ["--help"],
+    ["predict", "--help"],
+    ["compare", "--help"],
+    ["frobnicate"],
+    ["predict", "--model", "m.bin"],
+    ["compare", "--features", "f.csv", "--seed", "1", "--out", "o", "--jobs", "0"],
+    ["predict", "--model", "m.bin", "--slide", "s.csv", "--unknown"],
+]
+
+
+@pytest.mark.parametrize("argv", EARLY_EXITS, ids=" ".join)
+def test_parse_output_matches_full_parser(argv, capsys, monkeypatch):
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        full_code = exc.code
+    full = capsys.readouterr()
+    built = []
+    build_parser = cli.build_parser
+
+    def recording_build_parser(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    assert main(argv) == full_code
+    assert capsys.readouterr() == full
+    assert built == [argv[0] if argv[0] in cli.COMMANDS else None]

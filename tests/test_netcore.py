@@ -11,6 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from slidescreen import widedeep
+from slidescreen.features import N_FEATURES
 from slidescreen.netcore import (
     BranchSpec,
     EmptyDataset,
@@ -30,7 +32,7 @@ from slidescreen.netcore import (
 )
 
 from model_files import split_model_file, version_3_document, write_model_file
-from oracles import finite_difference_gradients, max_relative_error
+from oracles import finite_difference_gradients, max_relative_error, reference_train
 
 
 def tiny_spec(hidden=(4,)):
@@ -225,6 +227,47 @@ class TestTrain:
         net = init_network(self.spec2d(), 2)
         with pytest.raises(TrainingDiverged):
             train(net, inputs, labels, TrainConfig(epochs=5, learning_rate=1e300))
+
+
+class TestTrainAgainstReference:
+    """train keeps every bit of the allocating reference step in
+    oracles.py: the in-place Adam, the ReLU output as backprop mask and
+    the skipped input gradients change no operation on any value."""
+
+    SPECS = {
+        "widedeep": widedeep.widedeep_spec(),
+        "ann": GraphSpec(branches=(BranchSpec("features", N_FEATURES),),
+                         head_hidden=(300, 300)),
+    }
+
+    def data(self, name, seed, n=48):
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, N_FEATURES))
+        labels = (X[:, 0] + 0.5 * rng.random(n) > 0.75).astype(int)
+        inputs = (widedeep.features_to_inputs(X) if name == "widedeep"
+                  else {"features": X})
+        return inputs, labels
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("name", ["widedeep", "ann"])
+    def test_parameters_and_loss_trace_identical(self, name, seed):
+        inputs, labels = self.data(name, seed)
+        config = TrainConfig(epochs=25, learning_rate=1e-3, seed=seed)
+        net, losses = train(init_network(self.SPECS[name], seed), inputs, labels, config)
+        reference = init_network(self.SPECS[name], seed)
+        reference_losses = reference_train(reference, inputs, labels, 25, 1e-3)
+        assert [x.hex() for x in losses] == [x.hex() for x in reference_losses]
+        assert parameter_sha256(net) == parameter_sha256(reference)
+
+    @pytest.mark.parametrize("name", ["widedeep", "ann"])
+    def test_divergence_at_the_same_epoch(self, name):
+        inputs, labels = self.data(name, 5)
+        reference_losses = reference_train(init_network(self.SPECS[name], 5), inputs,
+                                           labels, 25, 1e300)
+        assert not math.isfinite(reference_losses[-1])
+        with pytest.raises(TrainingDiverged, match=f" at epoch {len(reference_losses)} "):
+            train(init_network(self.SPECS[name], 5), inputs, labels,
+                  TrainConfig(epochs=25, learning_rate=1e300))
 
 
 def parameter_sha256(net):

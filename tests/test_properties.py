@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from slidescreen.baselines import _grow_tree
 from slidescreen.evaluation import roc_auc
 from slidescreen.features import (
     MCC_RADII,
@@ -16,13 +17,21 @@ from slidescreen.features import (
     least_squares_regression_line,
 )
 from slidescreen.ingest import (
+    MALIGNANT,
+    NORMAL,
     MalformedRow,
     ProbabilityOutOfRange,
     _load_patches_rows,
     load_patches,
 )
 
-from oracles import as_partition, grid_refine_line, naive_components, pairwise_auc
+from oracles import (
+    as_partition,
+    grid_refine_line,
+    naive_components,
+    naive_grow_tree,
+    pairwise_auc,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -74,6 +83,56 @@ def test_regression_line_matches_grid_oracle(bins):
     xs = np.arange(N_BINS) - (N_BINS - 1) / 2
     ys = np.asarray(bins)
     assert m == pytest.approx(float(xs @ (ys - ys.mean()) / (xs @ xs)), abs=1e-12)
+
+
+# Feature values for tree growing: runs of adjacent doubles, whose
+# midpoint rounds onto the lower one, signed zeros, subnormals and the
+# smallest normal among ordinary values; drawn from a short list, so ties
+# are heavy. Any float up to 1e300 (subnormals included) joins them; no
+# pair sum overflows.
+ADJACENT = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+            np.nextafter(np.nextafter(1.0, 2.0), 2.0)]
+TREE_VALUES = ADJACENT + [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                          -0.5, 2.0, 1e300, -1e300]
+tree_value = st.sampled_from(TREE_VALUES) | st.floats(-1e300, 1e300)
+
+
+def tree_shape(node):
+    """A _TreeNode as the oracle's nested tuples."""
+    if node.left is None:
+        return ("leaf", node.vote)
+    return (node.feature, node.threshold.hex(), tree_shape(node.left),
+            tree_shape(node.right))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 24), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_tree_matches_naive_grower(data, n, d, seed):
+    X = np.array(data.draw(st.lists(st.lists(tree_value, min_size=d, max_size=d),
+                                    min_size=n, max_size=n)), dtype=float).reshape(n, d)
+    for column in data.draw(st.sets(st.integers(0, d - 1))):
+        X[:, column] = X[0, column]  # constant columns
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    m = data.draw(st.integers(1, d))
+    fast_rng, naive_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert tree_shape(_grow_tree(X, y, fast_rng, m)) == \
+        naive_grow_tree(X, y, naive_rng, m, positive=MALIGNANT, negative=NORMAL)
+    assert fast_rng.bit_generator.state == naive_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("low", [1.0, 5e-324, -1.0, 0.0])
+def test_two_row_split_between_adjacent_doubles(low):
+    """The midpoint of two adjacent doubles rounds onto one of them, so
+    x < midpoint may hold for neither row; the fast grower counts it."""
+    for rows in ([[low], [np.nextafter(low, 2.0)]],
+                 [[low], [low], [np.nextafter(low, 2.0)], [np.nextafter(low, 2.0)]]):
+        X = np.array(rows)
+        for y in ([NORMAL] * (len(X) // 2) + [MALIGNANT] * (len(X) // 2),
+                  [MALIGNANT] * (len(X) // 2) + [NORMAL] * (len(X) // 2)):
+            y = np.array(y)
+            fast_rng, naive_rng = np.random.default_rng(0), np.random.default_rng(0)
+            assert tree_shape(_grow_tree(X, y, fast_rng, 1)) == \
+                naive_grow_tree(X, y, naive_rng, 1, positive=MALIGNANT, negative=NORMAL)
 
 
 # Patch files: plain rows with a few odd lines put among them. An odd line
