@@ -172,12 +172,11 @@ def cmd_synth(args) -> int:
 
 def _extract_entry(entry: ingest.ManifestEntry):
     slide = ingest.load_slide(entry)
-    return slide.slide_id, slide.label, features.extract_features(slide)
+    return slide.slide_id, slide.label, features.extract_features(slide.patches)
 
 
 def _extract_all(manifest_path: Path, jobs: int):
-    entries = ingest.load_manifest(manifest_path).entries
-    return evaluation.parallel_map(_extract_entry, entries, jobs)
+    return evaluation.parallel_map(_extract_entry, ingest.load_manifest(manifest_path), jobs)
 
 
 def _check_out_file(path: Path) -> None:
@@ -281,9 +280,11 @@ def cmd_predict(args) -> int:
         raise netcore.ModelFormatError(
             f"{args.model}: model inputs {net.spec.input_widths()} are not "
             f"the wide-and-deep inputs {expected}")
-    patches = ingest.load_patches(args.slide)
-    slide = ingest.SlideRecord(args.slide.stem, ingest.NORMAL, patches)
-    label, p = widedeep.predict_slide(net, features.extract_features(slide))
+    row = features.extract_features(ingest.load_patches(args.slide))
+    with np.errstate(over="ignore", invalid="ignore"):
+        label, p = widedeep.predict_slide(net, row)
+    if not math.isfinite(p):
+        raise netcore.ModelFormatError(f"{args.model}: p(malignant) is {p} for {args.slide}")
     print(f"{ingest.LABEL_NAMES[label]} {p:.9f}")
     return EXIT_OK
 

@@ -8,7 +8,6 @@ averages rather than silently counted as zero.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import MALIGNANT, NORMAL
+from .ingest import MALIGNANT, NORMAL, write_rows
 from .seeding import derive_seed
 
 
@@ -251,12 +250,9 @@ def write_metrics_csv(key: str, rows: Sequence[tuple[str, MetricSet]],
                       path) -> None:
     """Two-decimal CSV: a header of key and the metric names, then one row
     per (name, metrics) pair; an undefined metric is an empty cell."""
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow((key,) + METRIC_NAMES)
-        for name, m in rows:
-            writer.writerow([name] + ["" if math.isnan(v) else f"{v:.2f}"
-                                      for v in asdict(m).values()])
+    write_rows(path, (key,) + METRIC_NAMES,
+               ([name] + ["" if math.isnan(v) else f"{v:.2f}" for v in asdict(m).values()]
+                for name, m in rows))
 
 
 def write_report_csv(report: EvaluationReport, path) -> None:

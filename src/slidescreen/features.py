@@ -20,23 +20,11 @@ every radius its pairs reach; no radius is scanned on its own.
 
 from __future__ import annotations
 
-import csv
-import io
-import math
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ingest import (
-    LABEL_NAMES,
-    MALIGNANT_THRESHOLD,
-    DuplicateSlideId,
-    MalformedRow,
-    SlideRecord,
-    parse_label,
-    read_text,
-)
+from .ingest import LABEL_NAMES, MALIGNANT_THRESHOLD, MalformedRow, read_slide_rows, write_rows
 
 # Bin edges as decimal literals so parsed probabilities compare exactly
 # against them; last bin is closed so prob = 1.0 is counted.
@@ -63,6 +51,7 @@ FEATURE_NAMES = (
     + ["lsrl_m", "lsrl_b"]
     + [f"mcc_{int(d)}" for d in MCC_RADII]
 )
+FEATURE_HEADER = ("slide_id", "label", *FEATURE_NAMES)
 
 
 class RegressionLine(NamedTuple):
@@ -70,22 +59,23 @@ class RegressionLine(NamedTuple):
     b: float
 
 
-def malignant_tissue_ratio(slide: SlideRecord) -> float:
-    """Fraction of tissue patches classified malignant; 0 for an empty slide."""
-    probs = slide.patches["prob_malignant"]
+def malignant_tissue_ratio(patches: np.ndarray) -> float:
+    """Fraction of a slide's tissue patches (a PATCH_DTYPE array) classified
+    malignant; 0 for an empty slide."""
+    probs = patches["prob_malignant"]
     if probs.size == 0:
         return 0.0
     return float(np.count_nonzero(probs >= MALIGNANT_THRESHOLD) / probs.size)
 
 
-def malignant_probability_histogram(slide: SlideRecord) -> np.ndarray:
+def malignant_probability_histogram(patches: np.ndarray) -> np.ndarray:
     """10-bin histogram of malignant-patch probabilities, 5% per bin.
 
     Bin k covers [0.50 + 0.05k, 0.55 + 0.05k), except the last bin which is
     closed at 1.00. Counts are normalized by the total number of tissue
     patches, so sum(bins) equals the malignant tissue ratio.
     """
-    probs = slide.patches["prob_malignant"]
+    probs = patches["prob_malignant"]
     if probs.size == 0:
         return np.zeros(N_BINS)
     malignant = probs[probs >= MALIGNANT_THRESHOLD]
@@ -252,10 +242,10 @@ def connected_components(points: Sequence, d: float) -> list[list]:
     return list(groups.values())
 
 
-def mcc_profile(slide: SlideRecord, radii: Sequence[float] = MCC_RADII) -> np.ndarray:
+def mcc_profile(patches: np.ndarray, radii: Sequence[float] = MCC_RADII) -> np.ndarray:
     """Connected-component count per radius over malignant patch centers,
     divided by the malignant patch count; all zeros when none exist."""
-    patches = slide.patches[slide.patches["prob_malignant"] >= MALIGNANT_THRESHOLD]
+    patches = patches[patches["prob_malignant"] >= MALIGNANT_THRESHOLD]
     n = patches.size
     if n == 0:
         return np.zeros(len(radii))
@@ -263,58 +253,40 @@ def mcc_profile(slide: SlideRecord, radii: Sequence[float] = MCC_RADII) -> np.nd
     return np.array(component_counts(centers, radii)) / n
 
 
-def extract_features(slide: SlideRecord) -> np.ndarray:
-    """The slide's (18,) feature row, laid out by the column slices."""
+def extract_features(patches: np.ndarray) -> np.ndarray:
+    """The (18,) feature row of a slide's PATCH_DTYPE array, laid out by
+    the column slices."""
     row = np.empty(N_FEATURES)
-    hist = malignant_probability_histogram(slide)
-    row[MTR] = malignant_tissue_ratio(slide)
+    hist = malignant_probability_histogram(patches)
+    row[MTR] = malignant_tissue_ratio(patches)
     row[MPH] = hist
     row[LSRL] = least_squares_regression_line(hist)
-    row[MCC] = mcc_profile(slide)
+    row[MCC] = mcc_profile(patches)
     return row
 
 
 def write_features_csv(rows, path) -> None:
     """Write (slide_id, label, feature row) rows; 17 significant digits
     so values survive a round-trip exactly."""
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["slide_id", "label"] + FEATURE_NAMES)
-        for slide_id, label, row in rows:
-            writer.writerow([slide_id, LABEL_NAMES[label]]
-                            + [repr(v) for v in row.tolist()])
+    write_rows(path, FEATURE_HEADER, ([slide_id, LABEL_NAMES[label], *map(repr, row.tolist())]
+                                      for slide_id, label, row in rows))
 
 
 def read_features_csv(path) -> list[tuple[str, int, np.ndarray]]:
     """Parse a feature CSV into (slide_id, label, feature row) triples.
 
-    Raises MissingFile, MalformedRow on bytes that are not UTF-8, a bad
-    header, column count, label or value (NaN and infinities included),
+    The header and the slide ids are checked as in a manifest. Raises
+    MissingFile, MalformedRow on bytes that are not UTF-8, a bad header,
+    column count, slide id, label or value (NaN and infinities included),
     and DuplicateSlideId.
     """
-    path = Path(path)
-    expected = ["slide_id", "label"] + FEATURE_NAMES
     rows = []
-    seen: set[str] = set()
-    with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected:
-            raise MalformedRow(path, 1, "bad feature CSV header")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise MalformedRow(path, line_no, f"expected {len(expected)} columns")
-            try:
-                label = parse_label(row[1])
-                values = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise MalformedRow(path, line_no, str(exc)) from None
-            if not all(map(math.isfinite, values)):
-                raise MalformedRow(path, line_no, "non-finite feature value")
-            if row[0] in seen:
-                raise DuplicateSlideId(row[0])
-            seen.add(row[0])
-            rows.append((row[0], label, np.array(values)))
+    for line_no, slide_id, label, row in read_slide_rows(path, FEATURE_HEADER):
+        try:
+            values = np.array([float(v) for v in row[2:]])
+        except ValueError as exc:
+            raise MalformedRow(path, line_no, str(exc)) from None
+        if not np.isfinite(values).all():
+            raise MalformedRow(path, line_no, "non-finite feature value")
+        rows.append((slide_id, label, values))
     return rows

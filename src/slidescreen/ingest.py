@@ -1,4 +1,6 @@
-"""Loading, validation and persistence of slide manifests and patch predictions.
+"""Loading, validation and persistence of slide manifests and patch
+predictions, and the CSV reader and writer behind every table with a
+header row that the package reads or writes.
 
 File contracts:
   manifest CSV: header ``slide_id,label,predictions_path``,
@@ -6,8 +8,11 @@ File contracts:
     manifest file or absolute.
   patch CSV: header ``x,y,prob_malignant``, x/y decimal integers (patch
     center coordinates in pixels), prob_malignant decimal in [0, 1].
+A header matches with its cells stripped and lower-cased. A slide_id is
+stripped, must not be empty or hold a carriage return, and must be unique
+within its table.
 All files UTF-8 (other bytes are a MalformedRow); LF and CRLF line endings
-are both accepted.
+are both accepted; files are written with LF.
 """
 
 from __future__ import annotations
@@ -90,14 +95,6 @@ class ManifestEntry:
     predictions_path: Path
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    entries: tuple[ManifestEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def parse_label(token: str) -> int:
     name = token.strip().lower()
     if name == "malignant":
@@ -140,33 +137,34 @@ def _open_csv(path: Path, expected_header: Sequence[str]) -> io.StringIO:
     return stream
 
 
-def _read_rows(path: Path, expected_header: Sequence[str]):
-    """Yield (line_no, row) for each data row after checking the header."""
-    reader = csv.reader(_open_csv(path, expected_header))
+def read_rows(path, header: Sequence[str]):
+    """Yield (line_no, row) for each data row of a CSV table after checking
+    its header; blank lines are skipped, and every row has one cell per
+    header column or raises MalformedRow."""
+    reader = csv.reader(_open_csv(path, header))
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue  # tolerate trailing blank line
+        if len(row) != len(header):
+            raise MalformedRow(path, line_no,
+                               f"expected {len(header)} columns, got {len(row)}")
         yield line_no, row
 
 
-def load_manifest(path) -> DatasetManifest:
-    """Parse a manifest CSV into a DatasetManifest, preserving file order.
+def read_slide_rows(path, header: Sequence[str]):
+    """read_rows of a table whose first two columns are slide_id and label:
+    yields (line_no, slide_id, label, row) with the id stripped.
 
-    Relative prediction paths are resolved against the manifest directory.
-    Raises MissingFile if the manifest or any referenced prediction file
-    does not exist, DuplicateSlideId on repeated ids, MalformedRow on
-    anything unparsable.
+    Raises MalformedRow on an empty id, an id with a carriage return or a
+    bad label, and DuplicateSlideId on an id seen before.
     """
-    path = Path(path)
-    base = path.parent
-    entries = []
     seen: set[str] = set()
-    for line_no, row in _read_rows(path, MANIFEST_HEADER):
-        if len(row) != 3:
-            raise MalformedRow(path, line_no, f"expected 3 columns, got {len(row)}")
+    for line_no, row in read_rows(path, header):
         slide_id = row[0].strip()
         if not slide_id:
             raise MalformedRow(path, line_no, "empty slide_id")
+        if "\r" in slide_id:  # csv.writer would not quote it, so it would not read back
+            raise MalformedRow(path, line_no, f"slide_id {slide_id!r} holds a carriage return")
         try:
             label = parse_label(row[1])
         except ValueError as exc:
@@ -174,13 +172,25 @@ def load_manifest(path) -> DatasetManifest:
         if slide_id in seen:
             raise DuplicateSlideId(slide_id)
         seen.add(slide_id)
-        pred_path = Path(row[2].strip())
-        if not pred_path.is_absolute():
-            pred_path = base / pred_path
+        yield line_no, slide_id, label, row
+
+
+def load_manifest(path) -> tuple[ManifestEntry, ...]:
+    """Parse a manifest CSV into its entries, preserving file order.
+
+    Relative prediction paths are resolved against the manifest directory.
+    Raises MissingFile if the manifest or any referenced prediction file
+    does not exist, DuplicateSlideId on repeated ids, MalformedRow on
+    anything unparsable.
+    """
+    path = Path(path)
+    entries = []
+    for _, slide_id, label, row in read_slide_rows(path, MANIFEST_HEADER):
+        pred_path = path.parent / row[2].strip()  # an absolute path replaces the base
         if not pred_path.is_file():
             raise MissingFile(pred_path)
         entries.append(ManifestEntry(slide_id, label, pred_path))
-    return DatasetManifest(tuple(entries))
+    return tuple(entries)
 
 
 def load_patches(path) -> np.ndarray:
@@ -218,9 +228,7 @@ def _load_patches_rows(path: Path) -> np.ndarray:
     """The row parser behind load_patches: the reference for what is
     accepted, and the only path that raises on a data row."""
     patches = []
-    for line_no, row in _read_rows(path, PATCH_HEADER):
-        if len(row) != 3:
-            raise MalformedRow(path, line_no, f"expected 3 columns, got {len(row)}")
+    for line_no, row in read_rows(path, PATCH_HEADER):
         try:
             x = int(row[0])
             y = int(row[1])
@@ -244,22 +252,22 @@ def load_slide(entry: ManifestEntry) -> SlideRecord:
     return SlideRecord(entry.slide_id, entry.label, load_patches(entry.predictions_path))
 
 
+def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV table: the header, then the rows, UTF-8 with LF line ends."""
+    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_patches(patches: np.ndarray, path) -> None:
     """Write a PATCH_DTYPE array as a patch CSV; probabilities use repr so
     re-parsing is exact."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PATCH_HEADER)
-        for x, y, prob in patches.tolist():  # Python ints and floats
-            writer.writerow([x, y, repr(prob)])
+    write_rows(path, PATCH_HEADER, ((x, y, repr(prob))  # Python ints and floats
+                                    for x, y, prob in patches.tolist()))
 
 
 def write_manifest(rows: Iterable[tuple[str, int, str]], path) -> None:
     """Write a manifest CSV from (slide_id, label, predictions_path) rows."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_HEADER)
-        for slide_id, label, pred_path in rows:
-            writer.writerow([slide_id, LABEL_NAMES[label], pred_path])
+    write_rows(path, MANIFEST_HEADER, ((slide_id, LABEL_NAMES[label], pred_path)
+                                       for slide_id, label, pred_path in rows))

@@ -63,7 +63,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 def default_synthetic_examples():
     cfg = synth.SynthConfig(n_slides_per_label=100, seed=20240501)
     records = synth.generate_dataset(cfg)
-    return [LabeledExample(r.slide_id, extract_features(r), r.label)
+    return [LabeledExample(r.slide_id, extract_features(r.patches), r.label)
             for r in records]
 
 

@@ -49,10 +49,10 @@ class TestExtractCommand:
         assert run("extract", "--manifest", dataset, "--out", out) == 0
         rows = read_features_csv(out)
         manifest = load_manifest(dataset)
-        assert len(rows) == len(manifest.entries)
-        for entry, (slide_id, label, row) in zip(manifest.entries, rows):
+        assert len(rows) == len(manifest)
+        for entry, (slide_id, label, row) in zip(manifest, rows):
             assert slide_id == entry.slide_id
-            np.testing.assert_array_equal(row, extract_features(load_slide(entry)))
+            np.testing.assert_array_equal(row, extract_features(load_slide(entry).patches))
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert run("extract", "--manifest", tmp_path / "gone.csv",
@@ -127,8 +127,8 @@ class TestCvCommand:
 
 
 class TestFeatureCsvBoundary:
-    """A feature CSV with a non-finite cell or a repeated slide id is a
-    validation error in every command that reads one."""
+    """A feature CSV with a non-finite cell, or an empty or repeated slide
+    id, is a validation error in every command that reads one."""
 
     COMMANDS = {
         "cv": ["cv", "--model", "knn", "--k", 3, "--seed", 7, "--out", "out"],
@@ -136,23 +136,35 @@ class TestFeatureCsvBoundary:
                     "--out", "out"],
         "train": ["train", "--seed", 7, "--epochs", 2, "--out", "model.json"],
     }
+    # defect -> (a cell of line 3 replaced, or None: line 2 repeated with
+    # its id padded; what the one stderr line says)
+    DEFECTS = {
+        "nan": ((4, "nan"), "features.csv:3: non-finite feature value"),
+        "duplicate": (None, "duplicate slide_id"),
+        "empty-id": ((0, ""), "features.csv:3: empty slide_id"),
+        "blank-id": ((0, " \t"), "features.csv:3: empty slide_id"),
+    }
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    @pytest.mark.parametrize("defect", ["nan", "duplicate"])
-    def test_rejected_with_exit_3(self, dataset, tmp_path, command, defect):
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_rejected_with_exit_3(self, dataset, tmp_path, capsys, command, defect):
         feats = tmp_path / "features.csv"
         assert run("extract", "--manifest", dataset, "--out", feats) == 0
         lines = feats.read_text(encoding="utf-8").splitlines()
-        if defect == "nan":
-            cells = lines[2].split(",")
-            cells[4] = "nan"
-            lines[2] = ",".join(cells)
+        edit, message = self.DEFECTS[defect]
+        if edit is None:
+            lines.append(" " + lines[1])
         else:
-            lines.append(lines[1])
+            cells = lines[2].split(",")
+            cells[edit[0]] = edit[1]
+            lines[2] = ",".join(cells)
         feats.write_text("\n".join(lines) + "\n", encoding="utf-8")
         argv = [tmp_path / a if a in ("out", "model.json") else a
                 for a in self.COMMANDS[command]]
+        capsys.readouterr()
         assert run(*argv, "--features", feats) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "model.json").exists()
 
@@ -217,6 +229,25 @@ class TestTrainPredict:
         slide = tmp_path / "s.csv"
         slide.write_text("x,y,prob_malignant\n0,0,0.9\n", encoding="utf-8")
         assert run("predict", "--model", model, "--slide", slide) == 2
+
+    def test_non_finite_probability_is_io_error(self, tmp_path, capsys):
+        """A model whose forward pass overflows, here every head parameter
+        scaled by 1e200, exits 2 naming the model instead of calling the
+        slide normal; no numpy warning escapes (the suite makes a
+        RuntimeWarning an error)."""
+        net = widedeep.build_widedeep(seed=0)
+        for layer in net.head:
+            layer.weights *= 1e200
+            layer.biases *= 1e200
+        model = tmp_path / "model.json"
+        netcore.save_model(net, model, widedeep.WIDEDEEP_TAG)
+        slide = tmp_path / "s.csv"
+        slide.write_text("x,y,prob_malignant\n0,0,0.9\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("predict", "--model", model, "--slide", slide) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"slidescreen: {model}: p(malignant) is nan for {slide}\n"
 
     def test_version_1_model_is_io_error(self, tmp_path, capsys):
         model = tmp_path / "model.json"

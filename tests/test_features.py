@@ -33,20 +33,17 @@ from slidescreen.ingest import (
     MALIGNANT,
     NORMAL,
     PATCH_DTYPE,
-    DuplicateSlideId,
     MalformedRow,
-    SlideRecord,
 )
 
 from oracles import as_partition, grid_refine_line, line_sse, naive_components
 
 
-def slide(probs, coords=None, label=MALIGNANT, slide_id="s"):
+def slide(probs, coords=None):
+    """A slide's PATCH_DTYPE array."""
     if coords is None:
         coords = [(100 * i, 0) for i in range(len(probs))]
-    patches = np.array([(x, y, p) for (x, y), p in zip(coords, probs)],
-                       dtype=PATCH_DTYPE)
-    return SlideRecord(slide_id, label, patches)
+    return np.array([(x, y, p) for (x, y), p in zip(coords, probs)], dtype=PATCH_DTYPE)
 
 
 class TestMalignantTissueRatio:
@@ -269,9 +266,9 @@ def test_extraction_never_imports_scipy():
         "import numpy as np\n"
         "import slidescreen.cli\n"
         "from slidescreen.features import extract_features\n"
-        "from slidescreen.ingest import PATCH_DTYPE, SlideRecord\n"
+        "from slidescreen.ingest import PATCH_DTYPE\n"
         "patches = np.array([(0, 0, 0.9), (100, 0, 0.8), (900, 0, 0.7)], dtype=PATCH_DTYPE)\n"
-        "extract_features(SlideRecord('s', 1, patches))\n"
+        "extract_features(patches)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(slidescreen.__file__).parents[1]))
@@ -324,9 +321,7 @@ class TestExtractFeatures:
         probs = list(rng.random(50))
         s = slide(probs, coords)
         perm = rng.permutation(50)
-        shuffled = SlideRecord("s", MALIGNANT, s.patches[perm])
-        np.testing.assert_array_equal(extract_features(s),
-                                      extract_features(shuffled))
+        np.testing.assert_array_equal(extract_features(s), extract_features(s[perm]))
 
 
 def test_features_csv_round_trip(tmp_path):
@@ -335,9 +330,8 @@ def test_features_csv_round_trip(tmp_path):
     for i in range(4):
         coords = [(int(x) * 100, int(y) * 100)
                   for x, y in rng.integers(0, 10, size=(30, 2))]
-        s = slide(list(rng.random(30)), coords, slide_id=f"s{i}",
-                  label=MALIGNANT if i % 2 else NORMAL)
-        rows.append((s.slide_id, s.label, extract_features(s)))
+        rows.append((f"s{i}", MALIGNANT if i % 2 else NORMAL,
+                     extract_features(slide(list(rng.random(30)), coords))))
     path = tmp_path / "features.csv"
     write_features_csv(rows, path)
     loaded = read_features_csv(path)
@@ -360,8 +354,3 @@ def test_features_csv_non_finite_rejected(tmp_path, cell):
         read_features_csv(_features_csv(tmp_path / "f.csv", [good, bad]))
     assert err.value.line_no == 3
 
-
-def test_features_csv_duplicate_slide_id_rejected(tmp_path):
-    row = "s1,normal," + ",".join(["0.0"] * 18)
-    with pytest.raises(DuplicateSlideId):
-        read_features_csv(_features_csv(tmp_path / "f.csv", [row, row]))

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from slidescreen.features import FEATURE_HEADER, read_features_csv
 from slidescreen.ingest import (
     MALIGNANT,
+    MANIFEST_HEADER,
     MAX_COORDINATE,
     NORMAL,
     PATCH_DTYPE,
+    PATCH_HEADER,
     DuplicateSlideId,
     MalformedRow,
     MissingFile,
@@ -32,6 +35,15 @@ def make_patch_file(path, rows):
     return write(path, "\n".join(lines) + "\n")
 
 
+# table -> (reader, header, the data row of a slide with id {}); every
+# manifest row names a.csv, which the tests using this make
+TABLES = {
+    "patches": (load_patches, PATCH_HEADER, "1,2,0.5"),
+    "manifest": (load_manifest, MANIFEST_HEADER, "{},malignant,a.csv"),
+    "features": (read_features_csv, FEATURE_HEADER, "{},normal," + ",".join(["0.5"] * 18)),
+}
+
+
 def test_manifest_two_rows(tmp_path):
     make_patch_file(tmp_path / "s1.csv", [(0, 0, 0.9)])
     make_patch_file(tmp_path / "s2.csv", [(0, 0, 0.1)])
@@ -40,20 +52,29 @@ def test_manifest_two_rows(tmp_path):
         "slide_id,label,predictions_path\ns1,malignant,s1.csv\ns2,normal,s2.csv\n",
     ))
     assert len(manifest) == 2
-    assert manifest.entries[0].slide_id == "s1"
-    assert manifest.entries[0].label == MALIGNANT
-    assert manifest.entries[1].label == NORMAL
+    assert manifest[0].slide_id == "s1"
+    assert manifest[0].label == MALIGNANT
+    assert manifest[1].label == NORMAL
 
 
-def test_manifest_duplicate_slide_id(tmp_path):
+@pytest.mark.parametrize("table", ["manifest", "features"])
+@pytest.mark.parametrize("second_id, error, message", [
+    ("s1", DuplicateSlideId, "duplicate slide_id 's1'"),
+    (" s1 ", DuplicateSlideId, "duplicate slide_id 's1'"),
+    ("", MalformedRow, ":3: empty slide_id"),
+    (" \t", MalformedRow, ":3: empty slide_id"),
+    ('"s\r2"', MalformedRow, ":3: slide_id 's\\r2' holds a carriage return"),
+], ids=["duplicate", "padded-duplicate", "empty", "blank", "carriage-return"])
+def test_slide_id_rule(tmp_path, table, second_id, error, message):
+    """Ids are stripped, must not be empty or hold a carriage return, and
+    must be unique."""
+    load, header, row = TABLES[table]
     make_patch_file(tmp_path / "a.csv", [])
-    make_patch_file(tmp_path / "b.csv", [])
-    path = write(
-        tmp_path / "m.csv",
-        "slide_id,label,predictions_path\ns1,malignant,a.csv\ns1,normal,b.csv\n",
-    )
-    with pytest.raises(DuplicateSlideId):
-        load_manifest(path)
+    path = write(tmp_path / "t.csv", "\n".join(
+        [",".join(header), row.format("s1"), row.format(second_id)]) + "\n")
+    with pytest.raises(error) as err:
+        load(path)
+    assert str(err.value).endswith(message)
 
 
 def test_manifest_header_only(tmp_path):
@@ -90,7 +111,7 @@ def test_manifest_labels_case_insensitive(tmp_path):
         tmp_path / "m.csv",
         "slide_id,label,predictions_path\ns1,Malignant,a.csv\n",
     ))
-    assert manifest.entries[0].label == MALIGNANT
+    assert manifest[0].label == MALIGNANT
 
 
 def test_crlf_accepted(tmp_path):
@@ -99,7 +120,7 @@ def test_crlf_accepted(tmp_path):
     path.write_bytes(b"slide_id,label,predictions_path\r\ns1,normal,a.csv\r\n")
     manifest = load_manifest(path)
     assert len(manifest) == 1
-    slide = load_slide(manifest.entries[0])
+    slide = load_slide(manifest[0])
     assert slide.patches.tolist() == [(1, 2, 0.5)]
 
 
@@ -109,7 +130,7 @@ def test_load_slide_three_rows(tmp_path):
     manifest = load_manifest(write(
         tmp_path / "m.csv", "slide_id,label,predictions_path\ns1,malignant,a.csv\n"
     ))
-    slide = load_slide(manifest.entries[0])
+    slide = load_slide(manifest[0])
     assert len(slide.patches) == 3
     assert slide.patches.dtype == PATCH_DTYPE
     assert slide.patches[0].tolist() == (0, 0, 0.9)
@@ -211,11 +232,20 @@ def test_wrong_column_count(tmp_path):
     assert err.value.line_no == 2
 
 
-def test_bad_header(tmp_path):
-    path = write(tmp_path / "a.csv", "x,y,p\n1,2,0.5\n")
+@pytest.mark.parametrize("table", TABLES)
+def test_bad_header(tmp_path, table):
+    """A header matches with its cells stripped and lower-cased; a bad one
+    is reported on line 1 with the header expected."""
+    load, header, row = TABLES[table]
+    make_patch_file(tmp_path / "a.csv", [])
+    data_row = row.format("s1") + "\n"
+    path = write(tmp_path / "t.csv", " , ".join(header).upper() + "\n" + data_row)
+    assert len(load(path)) == 1
+    write(path, ",".join(header[:-1]) + ",p\n" + data_row)
     with pytest.raises(MalformedRow) as err:
-        load_patches(path)
+        load(path)
     assert err.value.line_no == 1
+    assert str(err.value).endswith(f"expected {','.join(header)}")
 
 
 def test_slide_round_trip(tmp_path):
@@ -234,7 +264,7 @@ def test_manifest_round_trip(tmp_path):
     write_manifest([("s1", MALIGNANT, "a.csv"), ("s2", NORMAL, "b.csv")],
                    tmp_path / "m.csv")
     manifest = load_manifest(tmp_path / "m.csv")
-    assert [(e.slide_id, e.label) for e in manifest.entries] == [
+    assert [(e.slide_id, e.label) for e in manifest] == [
         ("s1", MALIGNANT), ("s2", NORMAL)
     ]
 

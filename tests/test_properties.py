@@ -12,9 +12,12 @@ from slidescreen.evaluation import roc_auc
 from slidescreen.features import (
     MCC_RADII,
     N_BINS,
+    N_FEATURES,
     component_counts,
     connected_components,
     least_squares_regression_line,
+    read_features_csv,
+    write_features_csv,
 )
 from slidescreen.ingest import (
     MALIGNANT,
@@ -22,7 +25,9 @@ from slidescreen.ingest import (
     MalformedRow,
     ProbabilityOutOfRange,
     _load_patches_rows,
+    load_manifest,
     load_patches,
+    write_manifest,
 )
 
 from oracles import (
@@ -193,3 +198,33 @@ def test_patch_reader_matches_row_parser(tmp_path_factory, lines, odd, eol, fina
     fast, rows = patch_file_outcomes(tmp_path_factory.mktemp("patches") / "slide.csv",
                                      lines, eol, final_eol)
     assert fast == rows
+
+
+# Slide ids as the readers give them back: stripped and non-empty, with
+# the characters CSV must quote (a carriage return is refused on input).
+slide_ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r")
+                    | st.sampled_from([",", '"', "\n", " "]), min_size=1, max_size=12
+                    ).filter(lambda s: s and s == s.strip())
+slide_tables = st.lists(st.tuples(slide_ids, st.sampled_from([MALIGNANT, NORMAL])),
+                        max_size=8, unique_by=lambda r: r[0])
+
+
+@PROPERTY_SETTINGS
+@given(slide_tables, st.data())
+def test_tables_round_trip(tmp_path_factory, table, data):
+    """write_features_csv then read_features_csv gives back the ids, labels
+    and bit-equal float64 rows; write_manifest then load_manifest the ids
+    and labels."""
+    tmp = tmp_path_factory.mktemp("tables")
+    rows = [(sid, label, np.array(data.draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=N_FEATURES, max_size=N_FEATURES))))
+            for sid, label in table]
+    write_features_csv(rows, tmp / "features.csv")
+    back = read_features_csv(tmp / "features.csv")
+    assert [(sid, label) for sid, label, _ in back] == table
+    for (_, _, want), (_, _, got) in zip(rows, back):
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    (tmp / "a.csv").write_text("x,y,prob_malignant\n", encoding="utf-8")
+    write_manifest([(sid, label, "a.csv") for sid, label in table], tmp / "manifest.csv")
+    assert [(e.slide_id, e.label) for e in load_manifest(tmp / "manifest.csv")] == table

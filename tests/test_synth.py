@@ -42,7 +42,7 @@ def test_single_blob_is_one_component_at_smallest_radius():
             continue
         n_malignant = np.count_nonzero(record.patches["prob_malignant"] >= 0.5)
         assert n_malignant > 0
-        profile = mcc_profile(record)
+        profile = mcc_profile(record.patches)
         assert profile[0] == 1.0 / n_malignant
 
 
@@ -52,7 +52,7 @@ def test_normal_slide_without_noise_is_all_zero():
         if record.label != NORMAL:
             continue
         assert (record.patches["prob_malignant"] < 0.5).all()
-        np.testing.assert_array_equal(extract_features(record), np.zeros(18))
+        np.testing.assert_array_equal(extract_features(record.patches), np.zeros(18))
 
 
 def test_malignant_patches_really_classified_malignant():
@@ -80,7 +80,7 @@ def test_written_dataset_loads_back(tmp_path):
     records = generate_dataset(cfg)
     manifest_path = write_dataset(records, tmp_path)
     manifest = load_manifest(manifest_path)
-    loaded = [load_slide(e) for e in manifest.entries]
+    loaded = [load_slide(e) for e in manifest]
     assert [(r.slide_id, r.label) for r in loaded] == \
         [(r.slide_id, r.label) for r in records]
     for got, want in zip(loaded, records):
@@ -112,7 +112,7 @@ def test_histogram_confidence_contrast():
     mean_hist = {MALIGNANT: np.zeros(10), NORMAL: np.zeros(10)}
     counts = {MALIGNANT: 0, NORMAL: 0}
     for record in records:
-        mph = extract_features(record)[MPH]
+        mph = extract_features(record.patches)[MPH]
         if mph.sum() == 0:
             continue
         mean_hist[record.label] += mph / mph.sum()
@@ -126,7 +126,7 @@ def test_histogram_confidence_contrast():
     # histograms of real slides
     slopes = {MALIGNANT: [], NORMAL: []}
     for record in records:
-        slopes[record.label].append(extract_features(record)[LSRL][0])
+        slopes[record.label].append(extract_features(record.patches)[LSRL][0])
     assert np.mean(slopes[MALIGNANT]) > np.mean(slopes[NORMAL])
 
 

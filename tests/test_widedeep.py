@@ -53,7 +53,7 @@ def zero_row() -> np.ndarray:
 def synthetic_examples():
     cfg = synth.SynthConfig(n_slides_per_label=100, seed=555)
     records = synth.generate_dataset(cfg)
-    X = np.array([extract_features(r) for r in records])
+    X = np.array([extract_features(r.patches) for r in records])
     labels = np.array([r.label for r in records])
     return X, labels
 
@@ -126,7 +126,7 @@ class TestPrediction:
     def test_trained_model_classifies_held_out_slides(self, trained_model):
         cfg = synth.SynthConfig(n_slides_per_label=3, seed=77777)
         for record in synth.generate_dataset(cfg):
-            label, p = predict_slide(trained_model, extract_features(record))
+            label, p = predict_slide(trained_model, extract_features(record.patches))
             assert label == record.label, (record.slide_id, p)
 
     def test_zero_features_predict_normal(self):
@@ -135,7 +135,7 @@ class TestPrediction:
         # zero false positives, so the degenerate region is in-distribution
         cfg = synth.SynthConfig(n_slides_per_label=60, noise_rate=0.002, seed=321)
         records = synth.generate_dataset(cfg)
-        X = np.array([extract_features(r) for r in records])
+        X = np.array([extract_features(r.patches) for r in records])
         labels = np.array([r.label for r in records])
         assert (X[labels == NORMAL, MTR] == 0.0).any()
         net = train_widedeep(X, labels,
