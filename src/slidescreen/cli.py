@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     except (netcore.SingleClassDataset, netcore.EmptyDataset,
             netcore.TrainingDiverged, evaluation.TooFewExamples,
             evaluation.SingleClassScores, evaluation.EmptyEvaluation,
-            netcore.NotFitted, ValueError) as exc:
+            evaluation.NonFiniteScores, netcore.NotFitted, ValueError) as exc:
         print(f"slidescreen: pipeline failure: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 

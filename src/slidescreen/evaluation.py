@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import MALIGNANT, NORMAL, write_rows
+from .ingest import MALIGNANT, NORMAL, write_table
 from .seeding import derive_seed
 
 
@@ -30,6 +30,10 @@ class SingleClassScores(Exception):
 
 
 class EmptyEvaluation(Exception):
+    pass
+
+
+class NonFiniteScores(Exception):
     pass
 
 
@@ -194,10 +198,14 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
 
 
 def _run_fold(task):
-    factory, X_train, y_train, X_test, fold_seed = task
+    factory, X_train, y_train, X_test, fold_seed, fold = task
     clf = factory()
     clf.fit(X_train, y_train, seed=fold_seed)
-    return np.asarray(clf.predict_proba(X_test), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = np.asarray(clf.predict_proba(X_test), dtype=float)
+    if not np.isfinite(scores).all():  # a NaN would count as normal and reach the AUC
+        raise NonFiniteScores(f"{type(clf).__name__} fold {fold}: non-finite score")
+    return scores
 
 
 def cross_validate_each(examples: Sequence[LabeledExample],
@@ -216,7 +224,8 @@ def cross_validate_each(examples: Sequence[LabeledExample],
         train = np.array([row_of[s] for j, fold in enumerate(assignment.folds)
                           if j != i for s in fold], dtype=int)
         test = np.array([row_of[s] for s in fold_ids], dtype=int)
-        splits.append((X[train], y[train], X[test], derive_seed(seed, f"fold-{i}")))
+        splits.append((X[train], y[train], X[test], derive_seed(seed, f"fold-{i}"),
+                       i + 1))
         fold_labels.append(y[test])
     tasks = [(factory, *split) for factory in factories.values() for split in splits]
     scores = iter(parallel_map(_run_fold, tasks, jobs))
@@ -250,9 +259,10 @@ def write_metrics_csv(key: str, rows: Sequence[tuple[str, MetricSet]],
                       path) -> None:
     """Two-decimal CSV: a header of key and the metric names, then one row
     per (name, metrics) pair; an undefined metric is an empty cell."""
-    write_rows(path, (key,) + METRIC_NAMES,
-               ([name] + ["" if math.isnan(v) else f"{v:.2f}" for v in asdict(m).values()]
-                for name, m in rows))
+    cells = [[name] + ["" if math.isnan(v) else f"{v:.2f}" for v in astuple(m)]
+             for name, m in rows]
+    write_table(path, (key,) + METRIC_NAMES,
+                list(zip(*cells)) or [()] * (1 + len(METRIC_NAMES)))
 
 
 def write_report_csv(report: EvaluationReport, path) -> None:

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ingest import LABEL_NAMES, MALIGNANT_THRESHOLD, MalformedRow, read_slide_rows, write_rows
+from .ingest import LABEL_NAMES, MALIGNANT_THRESHOLD, MalformedRow, read_slide_rows, write_table
 
 # Bin edges as decimal literals so parsed probabilities compare exactly
 # against them; last bin is closed so prob = 1.0 is counted.
@@ -266,10 +266,11 @@ def extract_features(patches: np.ndarray) -> np.ndarray:
 
 
 def write_features_csv(rows, path) -> None:
-    """Write (slide_id, label, feature row) rows; 17 significant digits
-    so values survive a round-trip exactly."""
-    write_rows(path, FEATURE_HEADER, ([slide_id, LABEL_NAMES[label], *map(repr, row.tolist())]
-                                      for slide_id, label, row in rows))
+    """Write (slide_id, label, feature row) rows; values are written as
+    their repr, the shortest text that parses back to the same float."""
+    ids, labels, vectors = tuple(zip(*rows)) or ((), (), np.empty((0, N_FEATURES)))
+    write_table(path, FEATURE_HEADER, [ids, [LABEL_NAMES[label] for label in labels],
+                                       *np.array(vectors).T])
 
 
 def read_features_csv(path) -> list[tuple[str, int, np.ndarray]]:

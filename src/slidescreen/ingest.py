@@ -12,7 +12,8 @@ A header matches with its cells stripped and lower-cased. A slide_id is
 stripped, must not be empty or hold a carriage return, and must be unique
 within its table.
 All files UTF-8 (other bytes are a MalformedRow); LF and CRLF line endings
-are both accepted; files are written with LF.
+are both accepted; files are written with LF, numbers as their Python repr,
+and a cell holding a carriage return is refused.
 """
 
 from __future__ import annotations
@@ -129,6 +130,8 @@ def _open_csv(path: Path, expected_header: Sequence[str]) -> io.StringIO:
         header = next(csv.reader(stream))
     except StopIteration:
         raise MalformedRow(path, 1, "missing header row") from None
+    except csv.Error as exc:  # a quoted cell past csv's field size limit, say
+        raise MalformedRow(path, 1, str(exc)) from None
     got = tuple(cell.strip().lower() for cell in header)
     if got != tuple(expected_header):
         raise MalformedRow(
@@ -142,13 +145,16 @@ def read_rows(path, header: Sequence[str]):
     its header; blank lines are skipped, and every row has one cell per
     header column or raises MalformedRow."""
     reader = csv.reader(_open_csv(path, header))
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue  # tolerate trailing blank line
-        if len(row) != len(header):
-            raise MalformedRow(path, line_no,
-                               f"expected {len(header)} columns, got {len(row)}")
-        yield line_no, row
+    try:
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue  # tolerate trailing blank line
+            if len(row) != len(header):
+                raise MalformedRow(path, line_no,
+                                   f"expected {len(header)} columns, got {len(row)}")
+            yield line_no, row
+    except csv.Error as exc:
+        raise MalformedRow(path, reader.line_num + 1, str(exc)) from None
 
 
 def read_slide_rows(path, header: Sequence[str]):
@@ -163,7 +169,7 @@ def read_slide_rows(path, header: Sequence[str]):
         slide_id = row[0].strip()
         if not slide_id:
             raise MalformedRow(path, line_no, "empty slide_id")
-        if "\r" in slide_id:  # csv.writer would not quote it, so it would not read back
+        if "\r" in slide_id:  # write_table refuses it too
             raise MalformedRow(path, line_no, f"slide_id {slide_id!r} holds a carriage return")
         try:
             label = parse_label(row[1])
@@ -252,22 +258,37 @@ def load_slide(entry: ManifestEntry) -> SlideRecord:
     return SlideRecord(entry.slide_id, entry.label, load_patches(entry.predictions_path))
 
 
-def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV table: the header, then the rows, UTF-8 with LF line ends."""
+def write_table(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write a CSV table from its columns (one per header name, all of one
+    length), UTF-8 with LF line ends: a 1-D numpy array's cells are the repr
+    of its numbers, another column's the str of its items. A carriage return
+    in a cell raises ValueError: csv.writer leaves it unquoted before 3.13."""
+    # a list's repr joins its items' reprs with ", ", which no number's repr holds
+    cells = [repr(col.tolist())[1:-1].split(", ") if isinstance(col, np.ndarray) and len(col)
+             else list(map(str, col)) for col in columns]
+    rows = [header, *zip(*cells)]
+    text = "\n".join(map(",".join, rows)) + "\n"
+    if "\r" in text:
+        cell = next(c for col in (header, *cells) for c in col if "\r" in c)
+        raise ValueError(f"cell {cell!r} holds a carriage return")
+    # the cells are joined in C unless one holds a quote, comma or newline,
+    # which csv.writer quotes, as it does a lone empty cell
+    quote = (len(header) < 2 or '"' in text or text.count("\n") != len(rows)
+             or text.count(",") != len(rows) * (len(header) - 1))
     with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        if quote:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        else:
+            fh.write(text)
 
 
 def write_patches(patches: np.ndarray, path) -> None:
     """Write a PATCH_DTYPE array as a patch CSV; probabilities use repr so
     re-parsing is exact."""
-    write_rows(path, PATCH_HEADER, ((x, y, repr(prob))  # Python ints and floats
-                                    for x, y, prob in patches.tolist()))
+    write_table(path, PATCH_HEADER, [patches[name] for name in PATCH_HEADER])
 
 
 def write_manifest(rows: Iterable[tuple[str, int, str]], path) -> None:
     """Write a manifest CSV from (slide_id, label, predictions_path) rows."""
-    write_rows(path, MANIFEST_HEADER, ((slide_id, LABEL_NAMES[label], pred_path)
-                                       for slide_id, label, pred_path in rows))
+    ids, labels, paths = tuple(zip(*rows)) or ((), (), ())
+    write_table(path, MANIFEST_HEADER, [ids, [LABEL_NAMES[label] for label in labels], paths])

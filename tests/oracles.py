@@ -1,10 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 Each oracle is deliberately naive (quadratic scans, exhaustive
-enumeration, grid search, finite differences) and shares no code with the
-production paths it checks.
+enumeration, grid search, finite differences, one csv.writer call per
+row) and shares no code with the production paths it checks.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -231,3 +232,13 @@ def reference_train(net, inputs, labels, epochs, learning_rate):
                 vi += (1.0 - beta2) * (g * g - vi)
                 p -= learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
     return losses
+
+
+def csv_writer_table(path, header, rows):
+    """The row writer the column writer replaced: the header and every row
+    through csv.writer, which writes a float as its repr and any other cell
+    as its str, quoting a cell only where CSV needs it; UTF-8, LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

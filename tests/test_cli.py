@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from slidescreen import cli, features, ingest, netcore, widedeep
+from slidescreen import baselines, cli, features, ingest, netcore, widedeep
 from slidescreen.cli import main
 from slidescreen.features import extract_features, read_features_csv
 from slidescreen.ingest import load_manifest, load_slide
@@ -114,6 +114,20 @@ class TestCvCommand:
         assert not (tmp_path / "cv").exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("slidescreen: pipeline failure:")
+
+    @pytest.mark.parametrize("argv", [["cv", "--model", "knn"],
+                                      ["compare", "--models", "svm", "knn"]])
+    def test_non_finite_fold_score_is_pipeline_failure(self, dataset, tmp_path, capsys,
+                                                        monkeypatch, argv):
+        monkeypatch.setattr(baselines.KnnClassifier, "predict_proba",
+                            lambda self, X: np.full(len(X), np.nan))
+        capsys.readouterr()
+        code = run(*argv, "--manifest", dataset, "--k", 3, "--seed", 7,
+                   "--out", tmp_path / "out")
+        assert code == 1
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "slidescreen: pipeline failure: KnnClassifier fold 1: non-finite score"]
 
     def test_features_input_equivalent_to_manifest(self, dataset, tmp_path):
         feats = tmp_path / "features.csv"

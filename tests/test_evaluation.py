@@ -13,6 +13,7 @@ from slidescreen.evaluation import (
     EmptyEvaluation,
     LabeledExample,
     MetricSet,
+    NonFiniteScores,
     SingleClassScores,
     TooFewExamples,
     compute_metrics,
@@ -188,6 +189,15 @@ class MtrThresholdClassifier:
         return X[:, MTR].ravel()
 
 
+class OverflowingClassifier(MtrThresholdClassifier):
+    """Scores every slide with an mtr above 0.5 as inf - inf = NaN, with
+    numpy's overflow and invalid-value warnings on the way."""
+
+    def predict_proba(self, X):
+        big = np.where(X[:, MTR] > 0.5, 1e308, 0.0) * 10
+        return big - big + X[:, MTR]
+
+
 def mtr_dataset(n_per_class=12):
     rng = np.random.default_rng(11)
     examples = []
@@ -237,6 +247,14 @@ class TestCrossValidate:
         assert evaluation.parallel_map(abs, [-5], jobs=8) == [5]
         assert evaluation.parallel_map(abs, [], jobs=8) == []
         assert started == [3]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_finite_score_is_pipeline_failure(self, jobs):
+        """A NaN score would count as normal and reach the AUC; it fails
+        the run instead, naming the classifier and the fold, and numpy's
+        warnings stay quiet (tier-1 turns a RuntimeWarning into an error)."""
+        with pytest.raises(NonFiniteScores, match="^OverflowingClassifier fold 1: "):
+            cross_validate(mtr_dataset(), OverflowingClassifier, 3, seed=5, jobs=jobs)
 
     def test_average_is_mean_of_folds(self):
         report = cross_validate(mtr_dataset(), MtrThresholdClassifier, 4, seed=9)

@@ -225,6 +225,21 @@ def test_non_utf8_byte_reports_its_line(tmp_path, load, text):
     assert "is not UTF-8" in str(err.value)
 
 
+@pytest.mark.parametrize("load", [load_patches, load_manifest])
+@pytest.mark.parametrize("line_no", [1, 3])
+def test_csv_error_is_malformed_row(tmp_path, load, line_no):
+    """A quote that opens a cell and never closes makes the cell run past
+    the csv module's field size limit: a MalformedRow at its line."""
+    header = ",".join(PATCH_HEADER if load is load_patches else MANIFEST_HEADER)
+    lines = [header, "", ""]  # a blank line counts, though it is skipped
+    lines[line_no - 1] = '"' + "7" * 200_000
+    path = write(tmp_path / "a.csv", "\n".join(lines) + "\n")
+    with pytest.raises(MalformedRow) as err:
+        load(path)
+    assert err.value.line_no == line_no
+    assert "field larger than field limit" in str(err.value)
+
+
 def test_wrong_column_count(tmp_path):
     path = write(tmp_path / "a.csv", "x,y,prob_malignant\n1,2\n")
     with pytest.raises(MalformedRow) as err:

@@ -2,11 +2,14 @@
 drawn by hypothesis. Example counts stay small so the suite stays quick;
 the fixed-seed sweeps in the other modules cover volume."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from slidescreen import cli
 from slidescreen.baselines import _grow_tree
 from slidescreen.evaluation import roc_auc
 from slidescreen.features import (
@@ -28,10 +31,12 @@ from slidescreen.ingest import (
     load_manifest,
     load_patches,
     write_manifest,
+    write_table,
 )
 
 from oracles import (
     as_partition,
+    csv_writer_table,
     grid_refine_line,
     naive_components,
     naive_grow_tree,
@@ -200,10 +205,10 @@ def test_patch_reader_matches_row_parser(tmp_path_factory, lines, odd, eol, fina
     assert fast == rows
 
 
-# Slide ids as the readers give them back: stripped and non-empty, with
-# the characters CSV must quote (a carriage return is refused on input).
-slide_ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r")
-                    | st.sampled_from([",", '"', "\n", " "]), min_size=1, max_size=12
+# Slide ids stripped and non-empty, as the readers give them back, with
+# the characters CSV must quote and the carriage return it cannot.
+slide_ids = st.text(st.characters(blacklist_categories=("Cs",))
+                    | st.sampled_from([",", '"', "\n", "\r", " "]), min_size=1, max_size=12
                     ).filter(lambda s: s and s == s.strip())
 slide_tables = st.lists(st.tuples(slide_ids, st.sampled_from([MALIGNANT, NORMAL])),
                         max_size=8, unique_by=lambda r: r[0])
@@ -214,12 +219,20 @@ slide_tables = st.lists(st.tuples(slide_ids, st.sampled_from([MALIGNANT, NORMAL]
 def test_tables_round_trip(tmp_path_factory, table, data):
     """write_features_csv then read_features_csv gives back the ids, labels
     and bit-equal float64 rows; write_manifest then load_manifest the ids
-    and labels."""
+    and labels. An id holding a carriage return is refused before either
+    file is opened."""
     tmp = tmp_path_factory.mktemp("tables")
     rows = [(sid, label, np.array(data.draw(st.lists(
         st.floats(allow_nan=False, allow_infinity=False),
         min_size=N_FEATURES, max_size=N_FEATURES))))
             for sid, label in table]
+    if any("\r" in sid for sid, _ in table):
+        with pytest.raises(ValueError, match="holds a carriage return"):
+            write_features_csv(rows, tmp / "features.csv")
+        with pytest.raises(ValueError, match="holds a carriage return"):
+            write_manifest([(sid, label, "a.csv") for sid, label in table], tmp / "manifest.csv")
+        assert not any(tmp.iterdir())
+        return
     write_features_csv(rows, tmp / "features.csv")
     back = read_features_csv(tmp / "features.csv")
     assert [(sid, label) for sid, label, _ in back] == table
@@ -228,3 +241,91 @@ def test_tables_round_trip(tmp_path_factory, table, data):
     (tmp / "a.csv").write_text("x,y,prob_malignant\n", encoding="utf-8")
     write_manifest([(sid, label, "a.csv") for sid, label in table], tmp / "manifest.csv")
     assert [(e.slide_id, e.label) for e in load_manifest(tmp / "manifest.csv")] == table
+
+
+# Table cells: floats at repr's switch points (1e-4 and 1e16 change its
+# notation), signed zeros, subnormals and non-finite values; int64
+# extremes; and text that is plain or holds what CSV must quote (a quote,
+# a comma, a newline), including the empty cell csv.writer quotes when it
+# is the only one in its row.
+FLOAT_CELLS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-4,
+               9.999999999999999e-05, 1e-5, 1e16, 9999999999999998.0, 1e22,
+               1.7976931348623157e308, math.nan, math.inf, -math.inf]
+INT_CELLS = [-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 1]
+text_cells = (st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters='\r\n,"'),
+                      max_size=4)
+              | st.text(st.sampled_from([",", '"', "\n", " ", "a"]), max_size=4))
+
+
+def table_column(n):
+    """A column of n cells: float64, int64 or text."""
+    return (st.lists(st.sampled_from(FLOAT_CELLS) | st.floats(), min_size=n, max_size=n)
+            .map(lambda v: np.array(v, dtype=np.float64))
+            | st.lists(st.sampled_from(INT_CELLS) | st.integers(-2**63, 2**63 - 1),
+                       min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64))
+            | st.lists(text_cells, min_size=n, max_size=n))
+
+
+def assert_writes_like_csv_writer(tmp, header, columns):
+    write_table(tmp / "columns.csv", header, columns)
+    csv_writer_table(tmp / "rows.csv", header, zip(*[
+        col.tolist() if isinstance(col, np.ndarray) else col for col in columns]))
+    assert (tmp / "columns.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(0, 3))
+def test_write_table_matches_csv_writer(tmp_path_factory, data, n_cols, n_rows):
+    """write_table writes the bytes that csv.writer writes from the same
+    cells as Python numbers and strings, in empty, one-row and longer
+    tables, on the joined and on the quoted path."""
+    header = data.draw(st.lists(text_cells, min_size=n_cols, max_size=n_cols))
+    columns = [data.draw(table_column(n_rows)) for _ in range(n_cols)]
+    assert_writes_like_csv_writer(tmp_path_factory.mktemp("table"), header, columns)
+
+
+@pytest.mark.parametrize("cell", ["1,2", 'say "hi"', "two\nlines", "", "plain"])
+@pytest.mark.parametrize("n_cols", [1, 2])
+def test_write_table_quotes_each_cell_like_csv_writer(tmp_path, cell, n_cols):
+    """Each kind of cell that needs quoting, among plain cells, and the
+    lone empty cell of a one-column table."""
+    columns = [[cell, "x"], np.array([0.5, -1.0])][:n_cols]
+    assert_writes_like_csv_writer(tmp_path, ["id", "value"][:n_cols], columns)
+
+
+def test_write_table_refuses_carriage_return(tmp_path):
+    for header, columns in ((["id"], [["a\rb"]]), (["i\rd"], [["a"]])):
+        with pytest.raises(ValueError, match="holds a carriage return"):
+            write_table(tmp_path / "t.csv", header, columns)
+    assert not (tmp_path / "t.csv").exists()
+
+
+# Heatmap cells: probabilities at repr's notation switch points, or NaN
+# for a grid cell without a patch.
+heat_cells = (st.sampled_from([math.nan, 0.0, 1.0, 5e-324, 1e-5, 1e-4, 9.999999999999999e-05])
+              | st.floats(0.0, 1.0))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(heat_cells, min_size=width, max_size=width), min_size=1, max_size=5)))
+@example([[math.nan, 0.5, math.nan], [math.nan] * 3, [1e-5, math.nan, 1e-4]])
+def test_heatmap_grid_matches_per_cell_repr(tmp_path_factory, grid):
+    """heatmap writes each grid cell as its repr and an empty cell as
+    nothing, NaN at row starts and ends and whole NaN rows included; the
+    grid spans the patches' bounding box."""
+    tmp = tmp_path_factory.mktemp("heatmap")
+    patches = [(c * 100, r * 100, v) for r, line in enumerate(grid)
+               for c, v in enumerate(line) if not math.isnan(v)]
+    (tmp / "s.csv").write_text("x,y,prob_malignant\n" + "".join(
+        f"{x},{y},{v!r}\n" for x, y, v in patches), encoding="utf-8")
+    assert cli.main(["heatmap", "--slide", str(tmp / "s.csv"), "--out", str(tmp / "g.csv")]) == 0
+    expected = ""
+    if patches:
+        rows = [y // 100 for _, y, _ in patches]
+        cols = [x // 100 for x, _, _ in patches]
+        expected = "".join(
+            ",".join("" if math.isnan(v) else repr(v)
+                     for v in line[min(cols):max(cols) + 1]) + "\n"
+            for line in grid[min(rows):max(rows) + 1])
+    assert (tmp / "g.csv").read_text(encoding="utf-8") == expected
