@@ -292,7 +292,7 @@ def cmd_predict(args) -> int:
 def cmd_heatmap(args) -> int:
     _check_out_file(args.out)
     patches = ingest.load_patches(args.slide)
-    lines = []
+    grid = np.empty((0, 0))
     if patches.size:
         # snap each patch center to its nearest grid cell; on collision the
         # highest probability wins (fmax ignores the NaN of empty cells)
@@ -307,11 +307,9 @@ def cmd_heatmap(args) -> int:
                 f"exceeds {MAX_HEATMAP_CELLS} cells")
         grid = np.full(shape, np.nan)
         np.fmax.at(grid, (rows, cols), patches["prob_malignant"])
-        lines = [",".join("" if math.isnan(v) else repr(v) for v in line)
-                 for line in grid.tolist()]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        for line in grid:  # a row at a time: memory stays near the grid's own
+            fh.write(",".join("" if math.isnan(v) else repr(v) for v in line.tolist()) + "\n")
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -142,11 +142,13 @@ def _open_csv(path: Path, expected_header: Sequence[str]) -> io.StringIO:
 
 def read_rows(path, header: Sequence[str]):
     """Yield (line_no, row) for each data row of a CSV table after checking
-    its header; blank lines are skipped, and every row has one cell per
-    header column or raises MalformedRow."""
+    its header; line_no is the physical line where the row starts. Blank
+    lines are skipped; a row without one cell per column raises MalformedRow."""
     reader = csv.reader(_open_csv(path, header))
+    start = 2  # a quoted cell may span lines
     try:
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no, start = start, reader.line_num + 2
             if not row:
                 continue  # tolerate trailing blank line
             if len(row) != len(header):

@@ -101,6 +101,10 @@ class GraphSpec:
         if any(w < 1 for _, widths, _ in self.stacks() for w in widths):
             raise InvalidTopology(f"non-positive layer width in {self}")
 
+    def n_parameters(self) -> int:
+        return sum(n_out * (n_in + 1) for _, widths, _ in self.stacks()
+                   for n_in, n_out in zip(widths, widths[1:]))
+
 
 @dataclass
 class DenseLayer:
@@ -111,9 +115,15 @@ class DenseLayer:
 
 @dataclass
 class NetworkGraph:
+    """A network of spec's topology. values holds every parameter, in
+    parameter_arrays() order, in one C-contiguous float64 buffer; every
+    layer's weights and biases are views of it, so change them in place
+    (layer.weights[:] = ..., *=), never by rebinding them."""
+
     spec: GraphSpec
     branches: list[list[DenseLayer]]  # parallel to spec.branches
     head: list[DenseLayer]
+    values: np.ndarray
 
     def layers(self) -> list[DenseLayer]:
         out = [layer for branch in self.branches for layer in branch]
@@ -121,14 +131,25 @@ class NetworkGraph:
 
     def parameter_arrays(self) -> list[np.ndarray]:
         """All parameters in canonical order (per layer: weights, biases)."""
-        params = []
-        for layer in self.layers():
-            params.append(layer.weights)
-            params.append(layer.biases)
-        return params
+        return [p for layer in self.layers() for p in (layer.weights, layer.biases)]
 
     def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameter_arrays())
+        return self.values.size
+
+
+def _graph_on(spec: GraphSpec, values: np.ndarray) -> NetworkGraph:
+    """The graph of spec whose layers are views of values, a flat float64
+    array of spec.n_parameters() elements: per layer in canonical order, the
+    weights (out, in) row-major, then the biases."""
+    stacks, offset = [], 0
+    for _, widths, activations in spec.stacks():
+        stacks.append([])
+        for n_in, n_out, activation in zip(widths, widths[1:], activations):
+            end = offset + n_out * n_in
+            stacks[-1].append(DenseLayer(values[offset:end].reshape(n_out, n_in),
+                                         values[end:end + n_out], activation))
+            offset = end + n_out
+    return NetworkGraph(spec, stacks[:-1], stacks[-1], values)
 
 
 @dataclass(frozen=True)
@@ -144,13 +165,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
-def _init_layer(rng: np.random.Generator, in_width: int, out_width: int,
-                activation: str) -> DenseLayer:
-    bound = np.sqrt(6.0 / in_width)
-    weights = rng.uniform(-bound, bound, size=(out_width, in_width))
-    return DenseLayer(weights, np.zeros(out_width), activation)
-
-
 def init_network(spec: GraphSpec, seed: int) -> NetworkGraph:
     """He-style uniform weights (bound sqrt(6/fan_in)), zero biases.
 
@@ -159,10 +173,11 @@ def init_network(spec: GraphSpec, seed: int) -> NetworkGraph:
     """
     spec.validate()
     rng = np.random.default_rng(seed)
-    stacks = [[_init_layer(rng, widths[i], widths[i + 1], activation)
-               for i, activation in enumerate(activations)]
-              for _, widths, activations in spec.stacks()]
-    return NetworkGraph(spec, stacks[:-1], stacks[-1])
+    net = _graph_on(spec, np.zeros(spec.n_parameters()))
+    for layer in net.layers():
+        bound = np.sqrt(6.0 / layer.weights.shape[1])
+        layer.weights[:] = rng.uniform(-bound, bound, size=layer.weights.shape)
+    return net
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -243,28 +258,29 @@ def _log_softmax_loss(z: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(lse - z[np.arange(z.shape[0]), labels]))
 
 
-def _stack_backward(layers: Sequence[DenseLayer], caches, delta: np.ndarray,
-                    input_grad: bool):
-    """Backprop through one stack. delta is d(loss)/d(stack output), or
-    d(loss)/d(z) where the last layer is the softmax, whose delta is
-    combined with the loss; it is overwritten. Returns the flat
-    [dW, db, ...] of the stack's layers in order, and d(loss)/d(stack
-    input), or None when input_grad is false."""
-    grads = []
+def _stack_backward(layers: Sequence[DenseLayer], grads: Sequence[DenseLayer], caches,
+                    delta: np.ndarray, input_grad: bool):
+    """Backprop through one stack, writing each layer's dW and db into the
+    weights and biases of the parallel layer of grads. delta is
+    d(loss)/d(stack output), or d(loss)/d(z) where the last layer is the
+    softmax, whose delta is combined with the loss; it is overwritten.
+    Returns d(loss)/d(stack input), or None when input_grad is false."""
     for i in reversed(range(len(layers))):
         layer, (a_prev, out) = layers[i], caches[i]
         if layer.activation == RELU:
             delta = np.multiply(delta, out > 0, out=delta)
-        grads.append((delta.T @ a_prev, delta.sum(axis=0)))
+        np.matmul(delta.T, a_prev, out=grads[i].weights)
+        np.sum(delta, axis=0, out=grads[i].biases)
         delta = delta @ layer.weights if i or input_grad else None
-    return [g for pair in reversed(grads) for g in pair], delta
+    return delta
 
 
 def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
-                       labels: Sequence[int]):
+                       labels: Sequence[int], grad: NetworkGraph | None = None):
     """Mean cross-entropy over the batch and its exact analytic gradients.
 
-    Gradients come back as a flat list matching parameter_arrays().
+    The gradients are written into grad, a graph of net's spec (a new one
+    when None), and come back as grad.parameter_arrays().
     """
     checked = _check_inputs(net, inputs)
     labels = np.asarray(labels, dtype=int)
@@ -273,6 +289,8 @@ def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
         raise ShapeMismatch(f"labels shape {labels.shape} != ({n},)")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= N_CLASSES:
         raise ShapeMismatch("label outside class range")
+    if grad is None:
+        grad = _graph_on(net.spec, np.empty(net.values.size))
 
     probs, caches = _forward_cached(net, checked)
     loss = _log_softmax_loss(caches[-1][-1][1], labels)
@@ -280,22 +298,19 @@ def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
     onehot = np.zeros_like(probs)
     onehot[np.arange(n), labels] = 1.0
     delta = (probs - onehot) / n  # d(loss)/d(z_final), mean already applied
-    head_grads, delta = _stack_backward(net.head, caches[-1], delta,
-                                        input_grad=any(net.branches))
+    delta = _stack_backward(net.head, grad.head, caches[-1], delta,
+                            input_grad=any(net.branches))
 
     # split the concat gradient back into per-branch slices (copies, as
     # the branches overwrite their delta)
-    flat = []
     offset = 0
-    for layers, stack_caches, (_, widths, _) in zip(net.branches, caches,
-                                                     net.spec.stacks()):
+    for layers, grads, stack_caches, (_, widths, _) in zip(
+            net.branches, grad.branches, caches, net.spec.stacks()):
         if layers:
-            grads, _ = _stack_backward(layers, stack_caches,
-                                       delta[:, offset:offset + widths[-1]].copy(),
-                                       input_grad=False)
-            flat += grads
+            _stack_backward(layers, grads, stack_caches,
+                            delta[:, offset:offset + widths[-1]].copy(), input_grad=False)
         offset += widths[-1]
-    return loss, flat + head_grads
+    return loss, grad.parameter_arrays()
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
@@ -344,25 +359,22 @@ def train(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
     labels = np.asarray(labels, dtype=int)
     if labels.size == 0:
         raise EmptyDataset("training set is empty")
-    # flat views: every parameter array is C-contiguous (init_network and
-    # load_model make them so), and so are the gradients
-    params = [p.reshape(-1) for p in net.parameter_arrays()]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
-    scratch = [np.empty(min(_ADAM_BLOCK, max(p.size for p in params))) for _ in range(2)]
+    grad = _graph_on(net.spec, np.empty(net.values.size))
+    m = np.zeros_like(net.values)
+    v = np.zeros_like(net.values)
+    scratch = [np.empty(min(_ADAM_BLOCK, net.values.size)) for _ in range(2)]
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.epochs + 1):
-            loss, grads = loss_and_gradients(net, inputs, labels)
+            loss, _ = loss_and_gradients(net, inputs, labels, grad)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"loss is {loss} at epoch {t} (learning rate {config.learning_rate})")
             losses.append(loss)
             bc1 = 1.0 - _BETA1 ** t
             bc2 = 1.0 - _BETA2 ** t
-            for p, g, mi, vi in zip(params, grads, m, v):
-                _adam_update(p, g.reshape(-1), mi, vi, config.learning_rate, bc1, bc2,
-                             *scratch)
+            _adam_update(net.values, grad.values, m, v, config.learning_rate, bc1, bc2,
+                         *scratch)
     return net, losses
 
 
@@ -407,9 +419,8 @@ class NetClassifier:
 def save_model(net: NetworkGraph, path, topology: str,
                meta: dict | None = None) -> None:
     """Write a model file: one line of ASCII JSON, the header, then the
-    payload, every parameter as little-endian float64 in
-    parameter_arrays() order (per layer: weights (out, in) row-major,
-    then biases).
+    payload, net.values as little-endian float64 (per layer: weights
+    (out, in) row-major, then biases).
 
     The header holds the format tag and version, topology tag, spec,
     meta and the activation of every layer, per stack. The spec gives
@@ -440,8 +451,7 @@ def save_model(net: NetworkGraph, path, topology: str,
     try:
         with fh:
             fh.write(json.dumps(header).encode("ascii") + b"\n")
-            for p in net.parameter_arrays():
-                fh.write(np.ascontiguousarray(p, dtype="<f8"))
+            fh.write(np.ascontiguousarray(net.values, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -495,7 +505,7 @@ def load_model(path):
 
     Only the header line is parsed. The payload's byte count is checked
     against the spec before anything is allocated; the payload is then
-    read into one float64 buffer, of which every layer's weights and
+    read straight into net.values, of which every layer's weights and
     biases are views.
     """
     path = Path(path)
@@ -521,9 +531,7 @@ def load_model(path):
         except (KeyError, TypeError, ValueError, InvalidTopology) as exc:
             raise ModelFormatError(f"{path}: malformed model header: {exc}") from None
 
-        n_values = sum(widths[i + 1] * (widths[i] + 1)
-                       for _, widths, activations in spec.stacks()
-                       for i in range(len(activations)))
+        n_values = spec.n_parameters()
         payload_bytes = os.fstat(fh.fileno()).st_size - header_bytes
         if payload_bytes != 8 * n_values:
             raise ModelFormatError(
@@ -533,17 +541,9 @@ def load_model(path):
             raise ModelFormatError(f"{path}: file changed while it was read")
     values = values.astype(np.float64, copy=False)  # a copy on big-endian hosts only
 
-    stacks = []
-    offset = 0
-    for what, widths, activations in spec.stacks():
-        layers = []
-        for i, activation in enumerate(activations):
-            n_out, n_in = widths[i + 1], widths[i]
-            weights = values[offset:offset + n_out * n_in].reshape(n_out, n_in)
-            biases = values[offset + n_out * n_in:offset + n_out * (n_in + 1)]
-            offset += n_out * (n_in + 1)
-            if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
+    net = _graph_on(spec, values)
+    for (what, _, _), layers in zip(spec.stacks(), [*net.branches, net.head]):
+        for i, layer in enumerate(layers):
+            if not (np.isfinite(layer.weights).all() and np.isfinite(layer.biases).all()):
                 raise ModelFormatError(f"{path}: {what} layer {i} has non-finite parameters")
-            layers.append(DenseLayer(weights, biases, activation))
-        stacks.append(layers)
-    return NetworkGraph(spec, stacks[:-1], stacks[-1]), topology, meta
+    return net, topology, meta

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,6 +370,25 @@ class TestHeatmapCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"{side} x {side} cells" in err[0]
         assert not out.exists()
+
+    def test_rows_are_written_as_they_are_formatted(self, tmp_path):
+        """Two patches at opposite corners: a 2 000 x 1 000 grid of empty
+        cells, written without holding more than about the grid itself."""
+        slide = tmp_path / "s.csv"
+        slide.write_text("x,y,prob_malignant\n0,0,0.9\n99900,199900,0.1\n",
+                         encoding="utf-8")
+        out = tmp_path / "grid.csv"
+        grid_nbytes = 2000 * 1000 * 8
+        tracemalloc.start()
+        try:
+            assert run("heatmap", "--slide", slide, "--out", out) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * grid_nbytes
+        lines = out.read_text(encoding="utf-8").split("\n")
+        assert len(lines) == 2001 and lines[-1] == ""
+        assert lines[0] == "0.9" + "," * 999 and lines[-2] == "," * 999 + "0.1"
 
     def test_grid_at_the_cell_limit_is_written(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "MAX_HEATMAP_CELLS", 6)

@@ -105,6 +105,15 @@ def test_manifest_bad_label_reports_line(tmp_path):
     assert err.value.line_no == 3
 
 
+def test_error_names_the_physical_line_after_a_multiline_cell(tmp_path):
+    """A quoted id that spans lines 2 and 3 puts the next row on line 4."""
+    make_patch_file(tmp_path / "a.csv", [])
+    path = write(tmp_path / "m.csv", 'slide_id,label,predictions_path\n'
+                 '"s\n1",malignant,a.csv\ns2,nrmal,a.csv\n')
+    with pytest.raises(MalformedRow, match=r"m\.csv:4: unknown label 'nrmal'"):
+        load_manifest(path)
+
+
 def test_manifest_labels_case_insensitive(tmp_path):
     make_patch_file(tmp_path / "a.csv", [])
     manifest = load_manifest(write(

@@ -166,6 +166,19 @@ class TestGradients:
         for g1, g2 in zip(grads1, grads2):
             np.testing.assert_allclose(g1, g2, atol=1e-15)
 
+    def test_written_into_grad_as_into_a_new_graph(self):
+        rng = np.random.default_rng(12)
+        spec = small_widedeep_spec(width=5)
+        net = init_network(spec, 6)
+        inputs = random_inputs(rng, spec, 9)
+        labels = rng.integers(0, 2, size=9)
+        grad = init_network(spec, 7)  # any graph of the spec; every value is overwritten
+        loss, grads = loss_and_gradients(net, inputs, labels, grad)
+        fresh_loss, fresh = loss_and_gradients(net, inputs, labels)
+        assert all(g is p for g, p in zip(grads, grad.parameter_arrays(), strict=True))
+        assert loss == fresh_loss
+        assert grad.values.tobytes() == b"".join(g.tobytes() for g in fresh)
+
     def test_bad_labels_rejected(self):
         net = init_network(tiny_spec(), 0)
         inputs = {"x": np.ones((2, 3)), "w": np.ones((2, 1))}
@@ -297,12 +310,22 @@ class TestModelFile:
         np.testing.assert_array_equal(before, after)
 
     def test_layers_are_views_of_one_buffer(self, tmp_path):
+        """Initialised or loaded, every parameter array is a view of
+        net.values at its payload offset."""
         path = tmp_path / "model.json"
-        save_model(init_network(small_widedeep_spec(width=6), 2), path, "widedeep-v1")
+        net = init_network(small_widedeep_spec(width=6), 2)
+        save_model(net, path, "widedeep-v1")
         loaded, _, _ = load_model(path)
-        buffer = loaded.branches[0][0].weights.base
-        assert buffer is not None and buffer.ndim == 1
-        assert all(p.base is buffer for p in loaded.parameter_arrays())
+        for graph in (net, loaded):
+            values = graph.values
+            assert values.ndim == 1 and values.dtype == np.float64
+            assert values.flags.c_contiguous and values.flags.writeable
+            address, offset = values.__array_interface__["data"][0], 0
+            for p in graph.parameter_arrays():
+                assert p.base is values
+                assert p.__array_interface__["data"][0] == address + 8 * offset
+                offset += p.size
+            assert offset == values.size == graph.n_parameters()
 
     def test_layout_is_header_line_then_raw_float64(self, tmp_path):
         net = init_network(small_widedeep_spec(width=3), 4)
@@ -313,7 +336,7 @@ class TestModelFile:
         assert header_line.isascii()
         assert json.loads(header_line)["meta"] == {"note": "café"}
         expected = b"".join(p.astype("<f8").tobytes() for p in net.parameter_arrays())
-        assert raw[len(header_line):] == expected
+        assert raw[len(header_line):] == expected == net.values.astype("<f8").tobytes()
 
     def test_branch_without_hidden_layers_saved_as_empty_stack(self, tmp_path):
         path = tmp_path / "model.json"
@@ -353,7 +376,7 @@ class TestAtomicSave:
         save_model(init_network(small_widedeep_spec(), 1), path, "widedeep-v1")
         before = path.read_bytes()
         net = init_network(small_widedeep_spec(), 2)
-        net.head[-1].biases = self.Unwritable()  # the last array: raises mid-write
+        net.values = self.Unwritable()  # raises after the header is written
         with pytest.raises(RuntimeError, match="disk went away"):
             save_model(net, path, "widedeep-v1")
         assert path.read_bytes() == before
