@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, evaluation, features, ingest, netcore, synth, widedeep
+# only the commands that use baselines, evaluation and synth import them
+from . import features, ingest, netcore, widedeep
 
 EXIT_OK = 0
 EXIT_PIPELINE = 1
@@ -87,6 +88,7 @@ def _add_extract(p):
 
 
 def _add_cv(p):
+    from . import baselines
     _add_dataset_args(p)
     p.add_argument("--model", choices=baselines.CLASSIFIER_KINDS,
                    default="widedeep")
@@ -97,6 +99,7 @@ def _add_cv(p):
 
 
 def _add_compare(p):
+    from . import baselines
     _add_dataset_args(p)
     p.add_argument("--models", nargs="+", choices=baselines.CLASSIFIER_KINDS,
                    default=list(baselines.CLASSIFIER_KINDS))
@@ -153,6 +156,7 @@ def build_parser(command: str | None = None) -> _Parser:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
     cfg = synth.SynthConfig(
         n_slides_per_label=args.slides_per_label,
         grid_extent=args.grid,
@@ -176,6 +180,7 @@ def _extract_entry(entry: ingest.ManifestEntry):
 
 
 def _extract_all(manifest_path: Path, jobs: int):
+    from . import evaluation
     return evaluation.parallel_map(_extract_entry, ingest.load_manifest(manifest_path), jobs)
 
 
@@ -212,6 +217,7 @@ def cmd_extract(args) -> int:
 
 
 def _load_examples(args) -> list[evaluation.LabeledExample]:
+    from . import evaluation
     if args.features is not None:
         rows = features.read_features_csv(args.features)
     else:
@@ -229,6 +235,7 @@ def _train_config(args) -> netcore.TrainConfig:
 
 
 def cmd_cv(args) -> int:
+    from . import baselines, evaluation
     config = _train_config(args)
     with _out_dir(args.out):
         examples = _load_examples(args)
@@ -242,6 +249,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import baselines
     repeated = sorted({m for m in args.models if args.models.count(m) > 1})
     if repeated:
         raise UsageError(f"--models names {', '.join(repeated)} more than once")
@@ -314,6 +322,13 @@ def cmd_heatmap(args) -> int:
     return EXIT_OK
 
 
+def _errors(module: str, *names: str) -> tuple:
+    """Named exception classes of a module of this package; none if no
+    command imported it, for then nothing can have raised them."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return tuple(getattr(loaded, name) for name in names) if loaded else ()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
@@ -330,16 +345,16 @@ def main(argv=None) -> int:
         print(f"slidescreen: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ingest.MalformedRow, ingest.ProbabilityOutOfRange,
-            ingest.DuplicateSlideId, synth.InvalidConfig, GridTooLarge) as exc:
+            ingest.DuplicateSlideId, *_errors("synth", "InvalidConfig"), GridTooLarge) as exc:
         print(f"slidescreen: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (OSError, netcore.ModelFormatError) as exc:
         print(f"slidescreen: {exc}", file=sys.stderr)
         return EXIT_IO
     except (netcore.SingleClassDataset, netcore.EmptyDataset,
-            netcore.TrainingDiverged, evaluation.TooFewExamples,
-            evaluation.SingleClassScores, evaluation.EmptyEvaluation,
-            evaluation.NonFiniteScores, netcore.NotFitted, ValueError) as exc:
+            netcore.TrainingDiverged, netcore.NotFitted, ValueError,
+            *_errors("evaluation", "TooFewExamples", "SingleClassScores",
+                     "EmptyEvaluation", "NonFiniteScores")) as exc:
         print(f"slidescreen: pipeline failure: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 

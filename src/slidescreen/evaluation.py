@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -192,6 +191,7 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
     starts all its workers at once), so fn and the items must pickle."""
     workers = min(jobs, len(items))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

@@ -44,6 +44,7 @@ PATCH_DTYPE = np.dtype([("x", np.int64), ("y", np.int64),
                         ("prob_malignant", np.float64)])
 # Coordinates beyond 2**53 would lose precision as float64 distances.
 MAX_COORDINATE = 2**53
+_HEAD_BYTES = 4096  # load_patches finds the header, and any data, in this prefix
 
 
 class IngestError(Exception):
@@ -105,29 +106,22 @@ def parse_label(token: str) -> int:
     raise ValueError(f"unknown label {token!r}")
 
 
-def read_text(path) -> str:
-    """Return the text of a UTF-8 file.
-
-    Raises MissingFile, and MalformedRow at the line of the first byte
-    that is not UTF-8.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(path)
-    data = path.read_bytes()
+def _open_csv(path, expected_header: Sequence[str]):
+    """A csv reader of a UTF-8 file, positioned after its header row, which
+    is checked. Raises MissingFile, and MalformedRow at the line of the
+    first byte that is not UTF-8."""
+    file = Path(path)
+    if not file.is_file():
+        raise MissingFile(file)
+    data = file.read_bytes()
     try:
-        return data.decode("utf-8")
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
     except UnicodeDecodeError as exc:
-        raise MalformedRow(path, data.count(b"\n", 0, exc.start) + 1,
+        raise MalformedRow(file, data.count(b"\n", 0, exc.start) + 1,
                            f"byte 0x{data[exc.start]:02x} at offset {exc.start} "
                            "is not UTF-8") from None
-
-
-def _open_csv(path: Path, expected_header: Sequence[str]) -> io.StringIO:
-    """A CSV file's text, positioned after its header row, which is checked."""
-    stream = io.StringIO(read_text(path), newline="")
     try:
-        header = next(csv.reader(stream))
+        header = next(reader)
     except StopIteration:
         raise MalformedRow(path, 1, "missing header row") from None
     except csv.Error as exc:  # a quoted cell past csv's field size limit, say
@@ -137,18 +131,18 @@ def _open_csv(path: Path, expected_header: Sequence[str]) -> io.StringIO:
         raise MalformedRow(
             path, 1, f"bad header {header!r}, expected {','.join(expected_header)}"
         )
-    return stream
+    return reader
 
 
 def read_rows(path, header: Sequence[str]):
     """Yield (line_no, row) for each data row of a CSV table after checking
     its header; line_no is the physical line where the row starts. Blank
     lines are skipped; a row without one cell per column raises MalformedRow."""
-    reader = csv.reader(_open_csv(path, header))
-    start = 2  # a quoted cell may span lines
+    reader = _open_csv(path, header)
+    start = reader.line_num + 1  # a quoted cell, in the header too, may span lines
     try:
         for row in reader:
-            line_no, start = start, reader.line_num + 2
+            line_no, start = start, reader.line_num + 1
             if not row:
                 continue  # tolerate trailing blank line
             if len(row) != len(header):
@@ -156,7 +150,7 @@ def read_rows(path, header: Sequence[str]):
                                    f"expected {len(header)} columns, got {len(row)}")
             yield line_no, row
     except csv.Error as exc:
-        raise MalformedRow(path, reader.line_num + 1, str(exc)) from None
+        raise MalformedRow(path, reader.line_num, str(exc)) from None
 
 
 def read_slide_rows(path, header: Sequence[str]):
@@ -206,24 +200,30 @@ def load_patches(path) -> np.ndarray:
     preserved.
 
     A cell is accepted iff Python's int (x, y) or float (prob_malignant)
-    accepts it after CSV unquoting. numpy's C reader parses the body, and
-    the columns are range-checked in numpy; a file that reader refuses or
-    that fails a check is parsed again row by row, which accepts it or
-    raises the error with its line number. So the fast reader changes
-    neither what is accepted nor what an error says.
+    accepts it after CSV unquoting. np.loadtxt reads the file in chunks
+    after a one-line header, and the columns are range-checked in numpy;
+    a file it cannot read so (a compressed suffix, a blank body, a header
+    not on one plain line) or that fails a check is parsed row by row, so
+    the fast reader changes neither what is accepted nor what an error says.
 
     Raises MissingFile, MalformedRow (header, column count, a cell that
     is not a number, negative or too large coordinates, bytes that are
     not UTF-8) and ProbabilityOutOfRange (NaN included).
     """
     path = Path(path)
-    body = _open_csv(path, PATCH_HEADER).read()
-    if not body.strip():  # loadtxt warns on a body with no data
+    # np.loadtxt would decompress a file with one of these suffixes
+    if not path.is_file() or path.suffix in (".gz", ".bz2", ".xz", ".lzma"):
         return _load_patches_rows(path)
-    try:
-        patches = np.loadtxt(io.StringIO(body), delimiter=",", dtype=PATCH_DTYPE,
-                             ndmin=1, comments=None)
-    except ValueError:
+    with open(path, "rb") as fh:
+        head, _, body = fh.read(_HEAD_BYTES).partition(b"\n")
+    # a quote, a bad byte or a carriage return inside a cell fails the match
+    cells = head.decode("utf-8", "replace").split(",")
+    if not body.strip() or tuple(cell.strip().lower() for cell in cells) != PATCH_HEADER:
+        return _load_patches_rows(path)  # loadtxt warns on a blank body
+    try:  # numpy reads a path in chunks, but a file object a line at a time
+        patches = np.loadtxt(path, delimiter=",", dtype=PATCH_DTYPE, ndmin=1,
+                             comments=None, skiprows=1, encoding="utf-8")
+    except ValueError:  # UnicodeDecodeError is one
         return _load_patches_rows(path)
     x, y, prob = patches["x"], patches["y"], patches["prob_malignant"]
     if ((x >= 0) & (x <= MAX_COORDINATE) & (y >= 0) & (y <= MAX_COORDINATE)

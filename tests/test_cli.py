@@ -1,11 +1,16 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slidescreen
 from slidescreen import baselines, cli, features, ingest, netcore, widedeep
 from slidescreen.cli import main
 from slidescreen.features import extract_features, read_features_csv
@@ -519,3 +524,28 @@ def test_parse_output_matches_full_parser(argv, capsys, monkeypatch):
     assert main(argv) == full_code
     assert capsys.readouterr() == full
     assert built == [argv[0] if argv[0] in cli.COMMANDS else None]
+
+
+@pytest.mark.parametrize("command", ["predict", "extract"])
+def test_serial_commands_never_import_unused_modules(dataset, tmp_path, command):
+    """predict and a serial extract load neither the baselines, nor the
+    synthetic-data generator, nor a process pool: each costs start-up
+    time in every call."""
+    if command == "predict":
+        model = tmp_path / "model.bin"
+        netcore.save_model(widedeep.build_widedeep(seed=0), model, widedeep.WIDEDEEP_TAG)
+        argv = ["predict", "--model", model,
+                "--slide", load_manifest(dataset)[0].predictions_path]
+    else:
+        argv = ["extract", "--manifest", dataset, "--out", tmp_path / "f.csv", "--jobs", 1]
+    code = (
+        "import sys\n"
+        "from slidescreen.cli import main\n"
+        f"assert main({[str(a) for a in argv]!r}) == 0\n"
+        "unused = {'slidescreen.baselines', 'slidescreen.synth', 'multiprocessing'}\n"
+        "print(sorted(unused & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(slidescreen.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -1,8 +1,8 @@
 """Fold assignment, metric formulas, rank AUC and the CV driver."""
 
+import concurrent.futures
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -237,12 +237,13 @@ class TestCrossValidate:
     def test_pool_never_outnumbers_the_items(self, monkeypatch):
         started = []
 
-        class RecordingPool(ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        # parallel_map imports the pool class when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert evaluation.parallel_map(abs, [-3, 2, -1], jobs=8) == [3, 2, 1]
         assert evaluation.parallel_map(abs, [-5], jobs=8) == [5]
         assert evaluation.parallel_map(abs, [], jobs=8) == []

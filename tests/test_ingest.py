@@ -1,5 +1,10 @@
 """Manifest and patch-file loading, validation and round-trips."""
 
+import bz2
+import gzip
+import lzma
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,7 @@ from slidescreen.ingest import (
     NORMAL,
     PATCH_DTYPE,
     PATCH_HEADER,
+    _HEAD_BYTES,
     DuplicateSlideId,
     MalformedRow,
     MissingFile,
@@ -291,6 +297,115 @@ def test_manifest_round_trip(tmp_path):
     assert [(e.slide_id, e.label) for e in manifest] == [
         ("s1", MALIGNANT), ("s2", NORMAL)
     ]
+
+
+def fast_path_outcome(path):
+    """What load_patches makes of a patch file, the array bytes or the
+    error's class, message and line, after checking that the row parser
+    makes the same of it."""
+    def outcome(load):
+        try:
+            return load(path).tobytes()
+        except (MalformedRow, ProbabilityOutOfRange) as exc:
+            return type(exc), str(exc), exc.line_no
+
+    fast = outcome(load_patches)
+    assert fast == outcome(_load_patches_rows)
+    return fast
+
+
+@pytest.mark.parametrize("eol", [b"\r\n", b"\r"], ids=["crlf", "lone-cr"])
+def test_fast_path_line_ends(tmp_path, eol):
+    path = tmp_path / "a.csv"
+    lines = [b"x,y,prob_malignant", b"1,2,0.5", b"", b"3,4,0.25"]
+    path.write_bytes(eol.join(lines) + eol)
+    assert fast_path_outcome(path) == np.array([(1, 2, 0.5), (3, 4, 0.25)],
+                                               dtype=PATCH_DTYPE).tobytes()
+    path.write_bytes(eol.join(lines + [b"5,6,nan"]) + eol)
+    assert fast_path_outcome(path)[2] == 5
+
+
+def test_fast_path_header_cell_spanning_two_lines(tmp_path):
+    """A quoted header cell may hold the line break: the header is then
+    lines 1 and 2, and the first row is line 3."""
+    path = write(tmp_path / "a.csv", 'x,y,"prob_malignant\n"\n1,2,0.5\n')
+    assert fast_path_outcome(path) == np.array([(1, 2, 0.5)], dtype=PATCH_DTYPE).tobytes()
+    write(path, 'x,y,"prob_malignant\n"\n1,2,1.5\n')
+    assert fast_path_outcome(path)[2] == 3
+    write(path, 'x,y,"prob_\nmalignant"\n1,2,0.5\n')
+    assert fast_path_outcome(path)[2] == 1
+
+
+@pytest.mark.parametrize("header", ["\rx,y,prob_malignant", "x\r,y,prob_malignant",
+                                    "x,y,prob_malignant\r\r", "x,y,prob_malignant\r "])
+def test_fast_path_carriage_return_in_the_header_line(tmp_path, header):
+    """csv and numpy both end a line at a lone carriage return, so the
+    header's first physical line may be several lines."""
+    path = write(tmp_path / "a.csv", header + "\n1,2,0.5\n")
+    fast_path_outcome(path)
+
+
+@pytest.mark.parametrize("blank", [1, _HEAD_BYTES], ids=["short", "past-prefix"])
+def test_fast_path_blank_body(tmp_path, blank):
+    """A body of only blank lines is an empty slide, and a row after more
+    blank lines than the prefix the fast path looks at is still read."""
+    path = write(tmp_path / "a.csv", "x,y,prob_malignant\n" + "\r\n" * blank)
+    assert fast_path_outcome(path) == b""
+    write(path, "x,y,prob_malignant\n" + "\n" * blank + "1,2,0.5\n")
+    assert fast_path_outcome(path) == np.array([(1, 2, 0.5)], dtype=PATCH_DTYPE).tobytes()
+    write(path, "x,y,prob_malignant\n" + "\n" * blank + "1,2,-0.5\n")
+    assert fast_path_outcome(path)[2] == blank + 2
+
+
+def test_fast_path_non_utf8_byte_far_into_the_file(tmp_path):
+    """A bad byte past numpy's first read chunk names its line."""
+    rows = [(i, i, 0.5) for i in range(20_000)]
+    path = make_patch_file(tmp_path / "a.csv", rows)
+    path.write_bytes(path.read_bytes() + b"7,\xff,0.5\n")
+    kind, message, line_no = fast_path_outcome(path)
+    assert kind is MalformedRow and line_no == len(rows) + 2
+    assert "is not UTF-8" in message
+
+
+@pytest.mark.parametrize("suffix, compress", [
+    (".gz", gzip.compress), (".bz2", bz2.compress), (".xz", lzma.compress),
+    (".lzma", lambda data: lzma.compress(data, format=lzma.FORMAT_ALONE)),
+])
+def test_fast_path_compressed_suffix(tmp_path, suffix, compress):
+    """np.loadtxt would decompress a file with such a suffix; the patch
+    CSV contract is plain UTF-8 text under any name."""
+    text = b"x,y,prob_malignant\n1,2,0.5\n"
+    path = tmp_path / f"s.csv{suffix}"
+    path.write_bytes(text)
+    assert fast_path_outcome(path) == np.array([(1, 2, 0.5)], dtype=PATCH_DTYPE).tobytes()
+    path.write_bytes(compress(text))
+    assert fast_path_outcome(path)[0] is MalformedRow
+
+
+@pytest.mark.parametrize("name", ["gone.csv", "."])
+def test_fast_path_missing_file_or_directory(tmp_path, name):
+    with pytest.raises(MissingFile):
+        load_patches(tmp_path / name)
+
+
+def test_load_patches_peak_memory_is_about_the_file_size(tmp_path):
+    """numpy reads the file in chunks: a 10 000-row parse holds little
+    more than the array it returns, not the file's text and copies of it."""
+    rng = np.random.default_rng(4)
+    patches = np.zeros(10_000, dtype=PATCH_DTYPE)
+    patches["x"] = rng.integers(0, 10**5, patches.size)
+    patches["y"] = rng.integers(0, 10**5, patches.size)
+    patches["prob_malignant"] = rng.random(patches.size)
+    path = tmp_path / "a.csv"
+    write_patches(patches, path)
+    tracemalloc.start()
+    try:
+        loaded = load_patches(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.tobytes() == patches.tobytes()
+    assert peak < 2 * path.stat().st_size
 
 
 def test_parse_label_rejects_unknown():
