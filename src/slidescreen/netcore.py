@@ -219,37 +219,45 @@ def _check_inputs(net: NetworkGraph, inputs: Mapping[str, np.ndarray]) -> dict[s
     return out
 
 
-def _stack_forward(layers: Sequence[DenseLayer], a: np.ndarray):
-    """Run one stack on its input; returns its output and the (a_prev, out)
-    of every layer for backprop, where out is a ReLU layer's output (its
-    pre-activation is positive exactly where the output is) and the
-    softmax layer's logits. An empty stack returns its input."""
-    caches = []
-    for layer in layers:
-        z = a @ layer.weights.T
+class Workspace:
+    """The arrays of one training step on n rows, for any graph of spec:
+    per stack in canonical order, each layer's output (the backprop
+    cache); the concat, which the head's input gradient overwrites once
+    the head has read it; and two flat scratch arrays of n × the widest
+    layer, between which every other input gradient alternates."""
+
+    def __init__(self, spec: GraphSpec, n: int):
+        stacks = [widths for _, widths, _ in spec.stacks()]
+        self.n = n
+        self.outputs = [[np.empty((n, w)) for w in widths[1:]] for widths in stacks]
+        self.concat = np.empty((n, stacks[-1][0]))
+        self.scratch = np.empty((2, n * max(w for widths in stacks for w in widths[1:])))
+
+
+def _stack_forward(layers: Sequence[DenseLayer], a: np.ndarray, outs: Sequence[np.ndarray]):
+    """Run one stack on its input, writing each layer's output into the
+    parallel array of outs; returns the stack's output (an empty stack
+    returns its input)."""
+    for layer, z in zip(layers, outs):
+        np.matmul(a, layer.weights.T, out=z)
         z += layer.biases
-        caches.append((a, z))
         a = _activate(z, layer.activation)
-    return a, caches
+    return a
 
 
-def _forward_cached(net: NetworkGraph, inputs: dict[str, np.ndarray]):
-    """Run the graph; returns the class probabilities and the caches of
-    every stack in canonical order (the branches, then the head)."""
-    outputs, caches = [], []
-    for bspec, layers in zip(net.spec.branches, net.branches):
-        a, stack_caches = _stack_forward(layers, inputs[bspec.name])
-        outputs.append(a)
-        caches.append(stack_caches)
+def _forward(net: NetworkGraph, inputs: dict[str, np.ndarray], work: Workspace) -> np.ndarray:
+    """Run the graph in work; returns the class probabilities."""
+    outputs = [_stack_forward(layers, inputs[bspec.name], outs)
+               for bspec, layers, outs in zip(net.spec.branches, net.branches, work.outputs)]
     # spec.validate() guarantees at least one input feeds the concat
-    probs, head_caches = _stack_forward(net.head, np.concatenate(outputs, axis=1))
-    return probs, caches + [head_caches]
+    np.concatenate(outputs, axis=1, out=work.concat)
+    return _stack_forward(net.head, work.concat, work.outputs[-1])
 
 
 def forward(net: NetworkGraph, inputs: Mapping[str, np.ndarray]) -> np.ndarray:
     """Class probabilities, shape (n, N_CLASSES); rows sum to 1."""
-    probs, _ = _forward_cached(net, _check_inputs(net, inputs))
-    return probs
+    checked = _check_inputs(net, inputs)
+    return _forward(net, checked, Workspace(net.spec, len(next(iter(checked.values())))))
 
 
 def _log_softmax_loss(z: np.ndarray, labels: np.ndarray) -> float:
@@ -258,29 +266,36 @@ def _log_softmax_loss(z: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(lse - z[np.arange(z.shape[0]), labels]))
 
 
-def _stack_backward(layers: Sequence[DenseLayer], grads: Sequence[DenseLayer], caches,
-                    delta: np.ndarray, input_grad: bool):
-    """Backprop through one stack, writing each layer's dW and db into the
-    weights and biases of the parallel layer of grads. delta is
-    d(loss)/d(stack output), or d(loss)/d(z) where the last layer is the
-    softmax, whose delta is combined with the loss; it is overwritten.
-    Returns d(loss)/d(stack input), or None when input_grad is false."""
+def _stack_backward(layers: Sequence[DenseLayer], grads: Sequence[DenseLayer], a: np.ndarray,
+                    outs: Sequence[np.ndarray], delta: np.ndarray, scratch, into=None) -> None:
+    """Backprop through one stack whose input was a and whose layers wrote
+    outs, writing each layer's dW and db into the parallel layer of grads.
+    delta is d(loss)/d(stack output), or d(loss)/d(z) where the last layer
+    is the softmax, whose delta is combined with the loss. delta and each
+    ReLU output, once read, are overwritten; layer i > 0 writes its input
+    gradient to scratch[i % 2], and layer 0 to into, when given."""
+    n = delta.shape[0]
     for i in reversed(range(len(layers))):
-        layer, (a_prev, out) = layers[i], caches[i]
+        layer = layers[i]
         if layer.activation == RELU:
-            delta = np.multiply(delta, out > 0, out=delta)
-        np.matmul(delta.T, a_prev, out=grads[i].weights)
+            delta *= np.greater(outs[i], 0.0, out=outs[i])  # where z > 0
+        np.matmul(delta.T, outs[i - 1] if i else a, out=grads[i].weights)
         np.sum(delta, axis=0, out=grads[i].biases)
-        delta = delta @ layer.weights if i or input_grad else None
-    return delta
+        if i or into is not None:
+            width = layer.weights.shape[1]
+            delta = np.matmul(delta, layer.weights,
+                              out=scratch[i % 2][:n * width].reshape(n, width) if i else into)
 
 
 def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
-                       labels: Sequence[int], grad: NetworkGraph | None = None):
+                       labels: Sequence[int], grad: NetworkGraph | None = None,
+                       work: Workspace | None = None):
     """Mean cross-entropy over the batch and its exact analytic gradients.
 
     The gradients are written into grad, a graph of net's spec (a new one
-    when None), and come back as grad.parameter_arrays().
+    when None), and come back as grad.parameter_arrays(). The step runs
+    in work, a Workspace of net's spec and the batch's row count (a new
+    one when None).
     """
     checked = _check_inputs(net, inputs)
     labels = np.asarray(labels, dtype=int)
@@ -291,25 +306,30 @@ def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
         raise ShapeMismatch("label outside class range")
     if grad is None:
         grad = _graph_on(net.spec, np.empty(net.values.size))
+    if work is None:
+        work = Workspace(net.spec, n)
+    elif work.n != n:
+        raise ShapeMismatch(f"workspace holds {work.n} rows, the batch has {n}")
 
-    probs, caches = _forward_cached(net, checked)
-    loss = _log_softmax_loss(caches[-1][-1][1], labels)
+    probs = _forward(net, checked, work)
+    loss = _log_softmax_loss(work.outputs[-1][-1], labels)
 
     onehot = np.zeros_like(probs)
     onehot[np.arange(n), labels] = 1.0
     delta = (probs - onehot) / n  # d(loss)/d(z_final), mean already applied
-    delta = _stack_backward(net.head, grad.head, caches[-1], delta,
-                            input_grad=any(net.branches))
+    _stack_backward(net.head, grad.head, work.concat, work.outputs[-1], delta, work.scratch,
+                    into=work.concat if any(net.branches) else None)
 
-    # split the concat gradient back into per-branch slices (copies, as
-    # the branches overwrite their delta)
+    # each branch's slice of the concat gradient goes where its top layer does not write
     offset = 0
-    for layers, grads, stack_caches, (_, widths, _) in zip(
-            net.branches, grad.branches, caches, net.spec.stacks()):
+    for bspec, layers, grads, outs in zip(net.spec.branches, net.branches, grad.branches,
+                                          work.outputs):
+        width = ((bspec.input_width,) + bspec.hidden)[-1]
         if layers:
-            _stack_backward(layers, grads, stack_caches,
-                            delta[:, offset:offset + widths[-1]].copy(), input_grad=False)
-        offset += widths[-1]
+            delta = work.scratch[len(layers) % 2][:n * width].reshape(n, width)
+            np.copyto(delta, work.concat[:, offset:offset + width])
+            _stack_backward(layers, grads, checked[bspec.name], outs, delta, work.scratch)
+        offset += width
     return loss, grad.parameter_arrays()
 
 
@@ -363,10 +383,11 @@ def train(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
     m = np.zeros_like(net.values)
     v = np.zeros_like(net.values)
     scratch = [np.empty(min(_ADAM_BLOCK, net.values.size)) for _ in range(2)]
+    work = Workspace(net.spec, labels.size)
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.epochs + 1):
-            loss, _ = loss_and_gradients(net, inputs, labels, grad)
+            loss, _ = loss_and_gradients(net, inputs, labels, grad, work)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"loss is {loss} at epoch {t} (learning rate {config.learning_rate})")

@@ -23,6 +23,7 @@ from slidescreen.netcore import (
     ShapeMismatch,
     TrainConfig,
     TrainingDiverged,
+    Workspace,
     forward,
     init_network,
     load_model,
@@ -188,6 +189,50 @@ class TestGradients:
             loss_and_gradients(net, inputs, [0])
 
 
+class TestWorkspace:
+    def test_row_count_mismatch_rejected_after_the_input_checks(self):
+        spec = tiny_spec()
+        net = init_network(spec, 0)
+        inputs = {"x": np.ones((4, 3)), "w": np.ones((4, 1))}
+        work = Workspace(spec, 5)
+        with pytest.raises(ShapeMismatch, match="labels shape"):
+            loss_and_gradients(net, inputs, [0, 1, 0], work=work)
+        with pytest.raises(ShapeMismatch, match="input names"):
+            loss_and_gradients(net, {"x": inputs["x"]}, [0, 1, 0, 1], work=work)
+        with pytest.raises(ShapeMismatch, match=r"workspace holds 5 rows, the batch has 4"):
+            loss_and_gradients(net, inputs, [0, 1, 0, 1], work=work)
+
+    def test_reused_across_nets_of_one_spec_as_without_one(self):
+        rng = np.random.default_rng(21)
+        spec = GraphSpec(branches=(BranchSpec("a", 3), BranchSpec("b", 4, (9,)),
+                                   BranchSpec("c", 5, (6, 11, 7))),
+                         head_hidden=(8, 12, 5))
+        inputs = random_inputs(rng, spec, 7)
+        labels = rng.integers(0, 2, size=7)
+        nets = [init_network(spec, seed) for seed in (6, 8, 6)]
+        work, grad = Workspace(spec, 7), init_network(spec, 0)
+        for net in nets:
+            loss, _ = loss_and_gradients(net, inputs, labels, grad, work)
+            fresh_loss, fresh = loss_and_gradients(net, inputs, labels)
+            assert loss.hex() == fresh_loss.hex()
+            assert grad.values.tobytes() == b"".join(g.tobytes() for g in fresh)
+
+    @pytest.mark.parametrize("name", ["widedeep", "ann"])
+    def test_step_in_a_workspace_allocates_no_batch_sized_array(self, name):
+        # one n x 300 float64 activation is 375 KiB at n = 160
+        spec = TestTrainAgainstReference.SPECS[name]
+        inputs, labels = TestTrainAgainstReference().data(name, 4, n=160)
+        net, grad, work = init_network(spec, 4), init_network(spec, 5), Workspace(spec, 160)
+        loss_and_gradients(net, inputs, labels, grad, work)
+        tracemalloc.start()
+        try:
+            loss_and_gradients(net, inputs, labels, grad, work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 192 * 2**10
+
+
 class TestTrain:
     def separable_data(self, n=40):
         rng = np.random.default_rng(6)
@@ -244,25 +289,33 @@ class TestTrain:
 
 class TestTrainAgainstReference:
     """train keeps every bit of the allocating reference step in
-    oracles.py: the in-place Adam, the ReLU output as backprop mask and
-    the skipped input gradients change no operation on any value."""
+    oracles.py: the in-place Adam, the workspace buffers, the ReLU output
+    as backprop mask and the skipped input gradients change no operation
+    on any value. The mixed specs have branches of 0, 1 and 3 hidden
+    layers and heads of 1 and 3, so the input gradients alternate
+    between the scratch arrays from either one."""
 
+    MIXED = (BranchSpec("a", 3), BranchSpec("b", 4, (9,)), BranchSpec("c", 5, (6, 11, 7)))
     SPECS = {
         "widedeep": widedeep.widedeep_spec(),
         "ann": GraphSpec(branches=(BranchSpec("features", N_FEATURES),),
                          head_hidden=(300, 300)),
+        "mixed-head1": GraphSpec(branches=MIXED, head_hidden=(10,)),
+        "mixed-head3": GraphSpec(branches=MIXED, head_hidden=(8, 12, 5)),
     }
 
     def data(self, name, seed, n=48):
         rng = np.random.default_rng(seed)
         X = rng.random((n, N_FEATURES))
         labels = (X[:, 0] + 0.5 * rng.random(n) > 0.75).astype(int)
-        inputs = (widedeep.features_to_inputs(X) if name == "widedeep"
-                  else {"features": X})
-        return inputs, labels
+        if name == "widedeep":
+            return widedeep.features_to_inputs(X), labels
+        if name == "ann":
+            return {"features": X}, labels
+        return {"a": X[:, :3], "b": X[:, 3:7], "c": X[:, 7:12]}, labels
 
     @pytest.mark.parametrize("seed", [3, 8])
-    @pytest.mark.parametrize("name", ["widedeep", "ann"])
+    @pytest.mark.parametrize("name", ["widedeep", "ann", "mixed-head1", "mixed-head3"])
     def test_parameters_and_loss_trace_identical(self, name, seed):
         inputs, labels = self.data(name, seed)
         config = TrainConfig(epochs=25, learning_rate=1e-3, seed=seed)
