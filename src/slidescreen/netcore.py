@@ -126,8 +126,7 @@ class NetworkGraph:
     values: np.ndarray
 
     def layers(self) -> list[DenseLayer]:
-        out = [layer for branch in self.branches for layer in branch]
-        return out + list(self.head)
+        return [layer for stack in (*self.branches, self.head) for layer in stack]
 
     def parameter_arrays(self) -> list[np.ndarray]:
         """All parameters in canonical order (per layer: weights, biases)."""
@@ -137,10 +136,11 @@ class NetworkGraph:
         return self.values.size
 
 
-def _graph_on(spec: GraphSpec, values: np.ndarray) -> NetworkGraph:
+def _graph_on(spec: GraphSpec, values: np.ndarray, shared: bool = False) -> NetworkGraph:
     """The graph of spec whose layers are views of values, a flat float64
     array of spec.n_parameters() elements: per layer in canonical order, the
-    weights (out, in) row-major, then the biases."""
+    weights (out, in) row-major, then the biases. With shared, values needs
+    only the largest layer's size, and every layer is a view of its start."""
     stacks, offset = [], 0
     for _, widths, activations in spec.stacks():
         stacks.append([])
@@ -148,7 +148,7 @@ def _graph_on(spec: GraphSpec, values: np.ndarray) -> NetworkGraph:
             end = offset + n_out * n_in
             stacks[-1].append(DenseLayer(values[offset:end].reshape(n_out, n_in),
                                          values[end:end + n_out], activation))
-            offset = end + n_out
+            offset = 0 if shared else end + n_out
     return NetworkGraph(spec, stacks[:-1], stacks[-1], values)
 
 
@@ -222,16 +222,15 @@ def _check_inputs(net: NetworkGraph, inputs: Mapping[str, np.ndarray]) -> dict[s
 class Workspace:
     """The arrays of one training step on n rows, for any graph of spec:
     per stack in canonical order, each layer's output (the backprop
-    cache); the concat, which the head's input gradient overwrites once
-    the head has read it; and two flat scratch arrays of n × the widest
-    layer, between which every other input gradient alternates."""
+    cache), and the concat. Backprop overwrites a layer's input activation
+    (the concat, for the head's first layer) with the layer's input
+    gradient, and a branch's output with its slice of the concat gradient."""
 
     def __init__(self, spec: GraphSpec, n: int):
         stacks = [widths for _, widths, _ in spec.stacks()]
         self.n = n
         self.outputs = [[np.empty((n, w)) for w in widths[1:]] for widths in stacks]
         self.concat = np.empty((n, stacks[-1][0]))
-        self.scratch = np.empty((2, n * max(w for widths in stacks for w in widths[1:])))
 
 
 def _stack_forward(layers: Sequence[DenseLayer], a: np.ndarray, outs: Sequence[np.ndarray]):
@@ -266,36 +265,37 @@ def _log_softmax_loss(z: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(lse - z[np.arange(z.shape[0]), labels]))
 
 
-def _stack_backward(layers: Sequence[DenseLayer], grads: Sequence[DenseLayer], a: np.ndarray,
-                    outs: Sequence[np.ndarray], delta: np.ndarray, scratch, into=None) -> None:
-    """Backprop through one stack whose input was a and whose layers wrote
-    outs, writing each layer's dW and db into the parallel layer of grads.
-    delta is d(loss)/d(stack output), or d(loss)/d(z) where the last layer
-    is the softmax, whose delta is combined with the loss. delta and each
-    ReLU output, once read, are overwritten; layer i > 0 writes its input
-    gradient to scratch[i % 2], and layer 0 to into, when given."""
-    n = delta.shape[0]
+def _stack_backward(layers: Sequence[DenseLayer], grads, k: int, a: np.ndarray,
+                    outs: Sequence[np.ndarray], delta: np.ndarray, step, input_grad=False):
+    """Backprop through one stack, layers k, k + 1, ... of the graph, whose
+    input was a and whose layers wrote outs, from delta, d(loss)/d(z) of its
+    top layer. Layer i writes dW and db into grads[k + i], then its input
+    gradient over its input activation (layer 0: over a, only with
+    input_grad), taking that ReLU output's mask first as a bool array.
+    Nothing reads layer i's weights after that, so step(k + i) follows."""
     for i in reversed(range(len(layers))):
-        layer = layers[i]
-        if layer.activation == RELU:
-            delta *= np.greater(outs[i], 0.0, out=outs[i])  # where z > 0
-        np.matmul(delta.T, outs[i - 1] if i else a, out=grads[i].weights)
-        np.sum(delta, axis=0, out=grads[i].biases)
-        if i or into is not None:
-            width = layer.weights.shape[1]
-            delta = np.matmul(delta, layer.weights,
-                              out=scratch[i % 2][:n * width].reshape(n, width) if i else into)
+        a_in = outs[i - 1] if i else a
+        np.matmul(delta.T, a_in, out=grads[k + i].weights)
+        np.sum(delta, axis=0, out=grads[k + i].biases)
+        if i:  # every layer below the top is ReLU
+            mask = np.greater(a_in, 0.0)
+            delta = np.matmul(delta, layers[i].weights, out=a_in)
+            delta *= mask
+        elif input_grad:
+            np.matmul(delta, layers[i].weights, out=a_in)
+        step(k + i)
 
 
 def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
-                       labels: Sequence[int], grad: NetworkGraph | None = None,
+                       labels: Sequence[int], grad: NetworkGraph | _Adam | None = None,
                        work: Workspace | None = None):
     """Mean cross-entropy over the batch and its exact analytic gradients.
 
     The gradients are written into grad, a graph of net's spec (a new one
     when None), and come back as grad.parameter_arrays(). The step runs
     in work, a Workspace of net's spec and the batch's row count (a new
-    one when None).
+    one when None). grad may instead be the _Adam of a fit of net, which
+    then updates each layer of net as soon as backprop is done with it.
     """
     checked = _check_inputs(net, inputs)
     labels = np.asarray(labels, dtype=int)
@@ -304,6 +304,7 @@ def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
         raise ShapeMismatch(f"labels shape {labels.shape} != ({n},)")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= N_CLASSES:
         raise ShapeMismatch("label outside class range")
+    adam, grad = (grad, grad.grad) if isinstance(grad, _Adam) else (None, grad)
     if grad is None:
         grad = _graph_on(net.spec, np.empty(net.values.size))
     if work is None:
@@ -313,58 +314,85 @@ def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
 
     probs = _forward(net, checked, work)
     loss = _log_softmax_loss(work.outputs[-1][-1], labels)
+    if adam is not None:  # checked before any parameter changes
+        if not math.isfinite(loss):
+            raise TrainingDiverged(f"loss is {loss} at epoch {adam.t + 1} "
+                                   f"(learning rate {adam.lr})")
+        adam.t += 1
 
     onehot = np.zeros_like(probs)
     onehot[np.arange(n), labels] = 1.0
     delta = (probs - onehot) / n  # d(loss)/d(z_final), mean already applied
-    _stack_backward(net.head, grad.head, work.concat, work.outputs[-1], delta, work.scratch,
-                    into=work.concat if any(net.branches) else None)
+    grads, step = grad.layers(), adam.step if adam else lambda k: None
+    _stack_backward(net.head, grads, len(grads) - len(net.head), work.concat, work.outputs[-1],
+                    delta, step, input_grad=any(net.branches))
 
-    # each branch's slice of the concat gradient goes where its top layer does not write
-    offset = 0
-    for bspec, layers, grads, outs in zip(net.spec.branches, net.branches, grad.branches,
-                                          work.outputs):
+    offset = k = 0
+    for bspec, layers, outs in zip(net.spec.branches, net.branches, work.outputs):
         width = ((bspec.input_width,) + bspec.hidden)[-1]
         if layers:
-            delta = work.scratch[len(layers) % 2][:n * width].reshape(n, width)
-            np.copyto(delta, work.concat[:, offset:offset + width])
-            _stack_backward(layers, grads, checked[bspec.name], outs, delta, work.scratch)
+            mask = np.greater(outs[-1], 0.0)
+            np.copyto(outs[-1], work.concat[:, offset:offset + width])
+            outs[-1] *= mask
+            del mask  # not alive beside the branch's own masks and Adam's scratch
+            _stack_backward(layers, grads, k, checked[bspec.name], outs, outs[-1], step)
         offset += width
+        k += len(layers)
     return loss, grad.parameter_arrays()
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
-_ADAM_BLOCK = 32768  # elements; one block of the step's six arrays fits in L2
+# elements; a block of an update's five arrays (the layer's values, m, v and
+# gradient, in _Adam.layers, and the scratch block it allocates) fits in L2
+_ADAM_BLOCK = 16384
 
 
-def _adam_update(p, g, m, v, lr: float, bc1: float, bc2: float, s1, s2) -> None:
-    """One Adam step of one flat parameter array, in place, block by
-    block, through the scratch buffers s1 and s2. The elementwise
-    operations are those of
+class _Adam:
+    """Full-batch Adam (Kingma & Ba, ICLR 2015, Alg. 1) for one fit of net,
+    run by loss_and_gradients when passed as its grad. grad is a graph of
+    net's spec on one buffer of the largest layer's size, which holds each
+    layer's gradient until step has applied it; layers[k] holds layer k's
+    slices of net.values, that buffer and the moments m and v."""
 
-        m += (1 - BETA1) * (g - m)
-        v += (1 - BETA2) * (g * g - v)
-        p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)
+    def __init__(self, net: NetworkGraph, learning_rate: float):
+        sizes = [layer.weights.size + layer.biases.size for layer in net.layers()]
+        self.grad = _graph_on(net.spec, np.empty(max(sizes)), shared=True)
+        m, v = np.zeros_like(net.values), np.zeros_like(net.values)
+        self.layers = [(net.values[e - n:e], self.grad.values[:n], m[e - n:e], v[e - n:e])
+                       for n, e in zip(sizes, np.cumsum(sizes).tolist())]
+        self.lr, self.t = learning_rate, 0
 
-    in the same order, so every bit of the result is the same."""
-    for start in range(0, p.size, _ADAM_BLOCK):
-        end = start + _ADAM_BLOCK
-        pb, gb, mb, vb = p[start:end], g[start:end], m[start:end], v[start:end]
-        a, b = s1[:pb.size], s2[:pb.size]
-        np.subtract(gb, mb, out=a)
-        a *= 1.0 - _BETA1
-        mb += a
-        np.multiply(gb, gb, out=a)
-        a -= vb
-        a *= 1.0 - _BETA2
-        vb += a
-        np.divide(mb, bc1, out=a)
-        a *= lr
-        np.divide(vb, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += _EPS
-        a /= b
-        pb -= a
+    def step(self, k: int) -> None:
+        """Update layer k at step t in place, block by block, through its
+        gradient and a scratch block, both overwritten. Each element gets
+        the operations of these lines, each line's in the order written,
+
+            m += (1 - BETA1) * (g - m)
+            v += (1 - BETA2) * (g * g - v)
+            p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)
+
+        so every bit of the result is the same."""
+        p, g, m, v = self.layers[k]
+        lr, bc1, bc2 = self.lr, 1.0 - _BETA1 ** self.t, 1.0 - _BETA2 ** self.t
+        scratch = np.empty(min(_ADAM_BLOCK, p.size))
+        for start in range(0, p.size, _ADAM_BLOCK):
+            end = start + _ADAM_BLOCK
+            pb, gb, mb, vb = p[start:end], g[start:end], m[start:end], v[start:end]
+            s = scratch[:pb.size]
+            np.multiply(gb, gb, out=s)
+            s -= vb
+            s *= 1.0 - _BETA2
+            vb += s
+            gb -= mb
+            gb *= 1.0 - _BETA1
+            mb += gb
+            np.divide(mb, bc1, out=gb)
+            gb *= lr
+            np.divide(vb, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += _EPS
+            gb /= s
+            pb -= gb
 
 
 def train(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
@@ -372,31 +400,18 @@ def train(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
     """Full-batch Adam training for config.epochs steps.
 
     Returns (net, loss_trace); the trace records the pre-update loss of
-    every epoch. The graph is mutated in place. Raises TrainingDiverged
-    as soon as the loss is not finite; the overflow that leads there is
-    not also reported as a numpy warning.
+    every epoch. The graph is mutated in place. Besides the parameters, a
+    fit holds Adam's two moments, one layer's gradient and one Workspace.
+    Raises TrainingDiverged at the first non-finite loss, before that epoch
+    changes a parameter, and without a numpy warning for the overflow.
     """
     labels = np.asarray(labels, dtype=int)
     if labels.size == 0:
         raise EmptyDataset("training set is empty")
-    grad = _graph_on(net.spec, np.empty(net.values.size))
-    m = np.zeros_like(net.values)
-    v = np.zeros_like(net.values)
-    scratch = [np.empty(min(_ADAM_BLOCK, net.values.size)) for _ in range(2)]
-    work = Workspace(net.spec, labels.size)
-    losses = []
+    adam, work = _Adam(net, config.learning_rate), Workspace(net.spec, labels.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, config.epochs + 1):
-            loss, _ = loss_and_gradients(net, inputs, labels, grad, work)
-            if not math.isfinite(loss):
-                raise TrainingDiverged(
-                    f"loss is {loss} at epoch {t} (learning rate {config.learning_rate})")
-            losses.append(loss)
-            bc1 = 1.0 - _BETA1 ** t
-            bc2 = 1.0 - _BETA2 ** t
-            _adam_update(net.values, grad.values, m, v, config.learning_rate, bc1, bc2,
-                         *scratch)
-    return net, losses
+        return net, [loss_and_gradients(net, inputs, labels, adam, work)[0]
+                     for _ in range(config.epochs)]
 
 
 def require_both_classes(labels: np.ndarray) -> None:

@@ -286,14 +286,36 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             train(net, inputs, labels, TrainConfig(epochs=5, learning_rate=1e300))
 
+    @pytest.mark.parametrize("name", ["widedeep", "ann"])
+    def test_fit_holds_one_layer_gradient_beside_parameters_and_moments(self, name):
+        # the parameters, Adam's two moments, one layer's gradient and the
+        # workspace; 256 KiB covers the update's 128 KiB scratch block, the
+        # n x 300 bool ReLU masks and numpy's 64 KiB ufunc buffer. A
+        # model-sized gradient would add a fourth model-sized buffer.
+        spec = TestTrainAgainstReference.SPECS[name]
+        inputs, labels = TestTrainAgainstReference().data(name, 4, n=160)
+        work = Workspace(spec, 160)
+        largest = max(layer.weights.nbytes + layer.biases.nbytes
+                      for layer in init_network(spec, 0).layers())
+        bound = (3 * 8 * spec.n_parameters() + largest + work.concat.nbytes
+                 + sum(a.nbytes for outs in work.outputs for a in outs) + 256 * 2**10)
+        tracemalloc.start()
+        try:
+            train(init_network(spec, 4), inputs, labels, TrainConfig(epochs=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
 
 class TestTrainAgainstReference:
     """train keeps every bit of the allocating reference step in
-    oracles.py: the in-place Adam, the workspace buffers, the ReLU output
-    as backprop mask and the skipped input gradients change no operation
-    on any value. The mixed specs have branches of 0, 1 and 3 hidden
-    layers and heads of 1 and 3, so the input gradients alternate
-    between the scratch arrays from either one."""
+    oracles.py: the in-place Adam applied layer by layer as backprop
+    finishes each layer, the workspace buffers, the input gradients
+    written over the activations with the ReLU masks taken first, and the
+    skipped input gradients change no operation on any value. The mixed
+    specs have branches of 0, 1 and 3 hidden layers and heads of 1 and 3
+    layers."""
 
     MIXED = (BranchSpec("a", 3), BranchSpec("b", 4, (9,)), BranchSpec("c", 5, (6, 11, 7)))
     SPECS = {
@@ -334,6 +356,16 @@ class TestTrainAgainstReference:
         with pytest.raises(TrainingDiverged, match=f" at epoch {len(reference_losses)} "):
             train(init_network(self.SPECS[name], 5), inputs, labels,
                   TrainConfig(epochs=25, learning_rate=1e300))
+
+    @pytest.mark.parametrize("name", ["widedeep", "ann"])
+    def test_diverged_epoch_changes_no_parameter(self, name):
+        inputs, labels = self.data(name, 5)
+        reference = init_network(self.SPECS[name], 5)
+        reference_train(reference, inputs, labels, 25, 1e300)
+        net = init_network(self.SPECS[name], 5)
+        with pytest.raises(TrainingDiverged):
+            train(net, inputs, labels, TrainConfig(epochs=25, learning_rate=1e300))
+        assert parameter_sha256(net) == parameter_sha256(reference)
 
 
 def parameter_sha256(net):
