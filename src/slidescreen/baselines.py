@@ -247,29 +247,24 @@ class AnnClassifier(NetClassifier):
         super().__init__(config, spec, _whole_row)
 
 
-CLASSIFIER_KINDS = ("widedeep", "ann", "svm", "rf", "knn")
-
-
-def make_classifier(kind: str, config: TrainConfig):
-    if kind == "widedeep":
-        return WideDeepClassifier(config)
-    if kind == "ann":
-        return AnnClassifier(config)
-    if kind == "svm":
-        return LinearSvmClassifier()
-    if kind == "rf":
-        return RandomForestClassifier()
-    if kind == "knn":
-        return KnnClassifier()
-    raise ValueError(f"unknown classifier kind {kind!r}")
+# kind -> class, in compare's default row order
+CLASSIFIERS = {
+    "widedeep": WideDeepClassifier,
+    "ann": AnnClassifier,
+    "svm": LinearSvmClassifier,
+    "rf": RandomForestClassifier,
+    "knn": KnnClassifier,
+}
+CLASSIFIER_KINDS = tuple(CLASSIFIERS)
 
 
 def classifier_factory(kind: str, config: TrainConfig) -> Callable[[], object]:
     """A picklable zero-argument factory of fresh `kind` classifiers, for
     process-parallel folds."""
-    if kind not in CLASSIFIER_KINDS:
+    if kind not in CLASSIFIERS:
         raise ValueError(f"unknown classifier kind {kind!r}")
-    return functools.partial(make_classifier, kind, config)
+    cls = CLASSIFIERS[kind]
+    return functools.partial(cls, config) if issubclass(cls, NetClassifier) else cls
 
 
 def run_comparison(examples: Sequence[LabeledExample], k: int, seed: int,

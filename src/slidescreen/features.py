@@ -227,30 +227,15 @@ def component_counts(centers, radii: Sequence[float]) -> list[int]:
     return (labels == np.arange(labels.shape[1])).sum(axis=1).tolist()
 
 
-def connected_components(points: Sequence, d: float) -> list[list]:
-    """Partition points into chain-linked clusters.
-
-    Two points share a component iff a chain of points connects them with
-    consecutive Euclidean distances <= d. Groups come in the order of their
-    first member and hold the caller's points in input order; the labels
-    come from the engine behind ``component_counts``, at the one radius.
-    """
-    (labels,) = _component_labels(points, [d])
-    groups: dict[int, list] = {}  # insertion order: first member's order
-    for i, root in enumerate(labels.tolist()):
-        groups.setdefault(root, []).append(points[i])
-    return list(groups.values())
-
-
-def mcc_profile(patches: np.ndarray, radii: Sequence[float] = MCC_RADII) -> np.ndarray:
-    """Connected-component count per radius over malignant patch centers,
-    divided by the malignant patch count; all zeros when none exist."""
+def mcc_profile(patches: np.ndarray) -> np.ndarray:
+    """Connected-component count at each MCC radius over malignant patch
+    centers, divided by the malignant patch count; all zeros when none exist."""
     patches = patches[patches["prob_malignant"] >= MALIGNANT_THRESHOLD]
     n = patches.size
     if n == 0:
-        return np.zeros(len(radii))
+        return np.zeros(len(MCC_RADII))
     centers = np.column_stack((patches["x"], patches["y"]))
-    return np.array(component_counts(centers, radii)) / n
+    return np.array(component_counts(centers, MCC_RADII)) / n
 
 
 def extract_features(patches: np.ndarray) -> np.ndarray:

@@ -44,7 +44,9 @@ PATCH_DTYPE = np.dtype([("x", np.int64), ("y", np.int64),
                         ("prob_malignant", np.float64)])
 # Coordinates beyond 2**53 would lose precision as float64 distances.
 MAX_COORDINATE = 2**53
-_HEAD_BYTES = 4096  # load_patches finds the header, and any data, in this prefix
+# int()'s digit limit, below csv's field size limit: a longer line goes row by row
+LONGEST_FAST_LINE = 4300
+_SCAN_BYTES = 1 << 16  # load_patches reads the header, and scans for long lines, in blocks
 
 
 class IngestError(Exception):
@@ -203,8 +205,9 @@ def load_patches(path) -> np.ndarray:
     accepts it after CSV unquoting. np.loadtxt reads the file in chunks
     after a one-line header, and the columns are range-checked in numpy;
     a file it cannot read so (a compressed suffix, a blank body, a header
-    not on one plain line) or that fails a check is parsed row by row, so
-    the fast reader changes neither what is accepted nor what an error says.
+    not on one plain line, a line longer than LONGEST_FAST_LINE bytes) or
+    that fails a check is parsed row by row, so the fast reader changes
+    neither what is accepted nor what an error says.
 
     Raises MissingFile, MalformedRow (header, column count, a cell that
     is not a number, negative or too large coordinates, bytes that are
@@ -215,10 +218,17 @@ def load_patches(path) -> np.ndarray:
     if not path.is_file() or path.suffix in (".gz", ".bz2", ".xz", ".lzma"):
         return _load_patches_rows(path)
     with open(path, "rb") as fh:
-        head, _, body = fh.read(_HEAD_BYTES).partition(b"\n")
-    # a quote, a bad byte or a carriage return inside a cell fails the match
-    cells = head.decode("utf-8", "replace").split(",")
-    if not body.strip() or tuple(cell.strip().lower() for cell in cells) != PATCH_HEADER:
+        head, _, body = fh.read(_SCAN_BYTES).partition(b"\n")
+        # a quote, a bad byte or a carriage return inside a cell fails the match
+        cells = head.decode("utf-8", "replace").split(",")
+        fast = bool(body.strip()) and tuple(c.strip().lower() for c in cells) == PATCH_HEADER
+        fh.seek(0)
+        last = -1  # index of the last newline, from this block's start
+        while fast and (block := fh.read(_SCAN_BYTES)):
+            while (nl := block.rfind(b"\n", max(last + 1, 0), last + LONGEST_FAST_LINE + 2)) >= 0:
+                last = nl  # the last newline among the next LONGEST_FAST_LINE + 1 bytes
+            fast, last = len(block) - 1 - last <= LONGEST_FAST_LINE, last - len(block)
+    if not fast:
         return _load_patches_rows(path)  # loadtxt warns on a blank body
     try:  # numpy reads a path in chunks, but a file object a line at a time
         patches = np.loadtxt(path, delimiter=",", dtype=PATCH_DTYPE, ndmin=1,

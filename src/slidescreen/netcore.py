@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -131,9 +131,6 @@ class NetworkGraph:
     def parameter_arrays(self) -> list[np.ndarray]:
         """All parameters in canonical order (per layer: weights, biases)."""
         return [p for layer in self.layers() for p in (layer.weights, layer.biases)]
-
-    def n_parameters(self) -> int:
-        return self.values.size
 
 
 def _graph_on(spec: GraphSpec, values: np.ndarray, shared: bool = False) -> NetworkGraph:
@@ -439,7 +436,7 @@ class NetClassifier:
         labels = np.asarray(labels, dtype=int)
         require_both_classes(labels)
         net = init_network(self.spec, seed)
-        self.net, losses = train(net, self.route(X), labels, replace(self.config, seed=seed))
+        self.net, losses = train(net, self.route(X), labels, self.config)
         best = int(np.argmin(losses))  # the first epoch on a tie
         self.loss_summary = {"first": losses[0], "last": losses[-1],
                              "min": losses[best], "min_epoch": best + 1}

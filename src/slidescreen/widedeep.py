@@ -84,6 +84,5 @@ class WideDeepClassifier(NetClassifier):
         super().__init__(config, widedeep_spec(hidden), features_to_inputs)
 
 
-def train_widedeep(features, labels: Sequence[int], config: TrainConfig,
-                   hidden: int = HIDDEN_WIDTH) -> NetworkGraph:
-    return WideDeepClassifier(config, hidden).fit(features, labels, config.seed).net
+def train_widedeep(features, labels: Sequence[int], config: TrainConfig) -> NetworkGraph:
+    return WideDeepClassifier(config).fit(features, labels, config.seed).net

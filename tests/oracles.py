@@ -40,6 +40,14 @@ def as_partition(components):
     return frozenset(frozenset(c) for c in components)
 
 
+def labels_as_partition(points, labels):
+    """as_partition of the components that a label per point names."""
+    components = {}
+    for point, label in zip(points, labels):
+        components.setdefault(label, []).append(point)
+    return as_partition(components.values())
+
+
 def line_sse(ys, m, b):
     return sum((y - (m * x + b)) ** 2 for x, y in enumerate(ys))
 

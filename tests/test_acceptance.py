@@ -23,7 +23,7 @@ from slidescreen.evaluation import (
     stratified_kfold,
 )
 from slidescreen.features import (
-    connected_components,
+    _component_labels,
     extract_features,
     least_squares_regression_line,
 )
@@ -33,6 +33,7 @@ from slidescreen.netcore import TrainConfig, init_network, loss_and_gradients
 from oracles import (
     as_partition,
     finite_difference_gradients,
+    labels_as_partition,
     line_sse,
     max_relative_error,
     naive_components,
@@ -103,8 +104,8 @@ def test_c2_connected_components_oracle_equivalence():
     for _ in range(1000):
         n = int(rng.integers(1, 201))
         points = [tuple(p) for p in rng.uniform(0.0, 2000.0, size=(n, 2))]
-        for d in MCC_RADII:
-            fast = as_partition(connected_components(points, d))
+        for d, labels in zip(MCC_RADII, _component_labels(points, MCC_RADII), strict=True):
+            fast = labels_as_partition(points, labels)
             slow = as_partition(naive_components(points, d))
             assert fast == slow, f"partition mismatch at n={n}, d={d}"
             checked += 1

@@ -1,12 +1,13 @@
 """Comparison classifiers: behavior, determinism and oracle agreement."""
 
 import inspect
-from dataclasses import replace
+import pickle
 
 import numpy as np
 import pytest
 
 from slidescreen.baselines import (
+    CLASSIFIERS,
     CLASSIFIER_KINDS,
     AnnClassifier,
     KnnClassifier,
@@ -14,7 +15,6 @@ from slidescreen.baselines import (
     NotFitted,
     RandomForestClassifier,
     classifier_factory,
-    make_classifier,
     run_comparison,
     write_comparison_csv,
 )
@@ -25,6 +25,7 @@ from slidescreen.ingest import MALIGNANT, NORMAL
 from slidescreen.netcore import (
     BranchSpec,
     GraphSpec,
+    NetClassifier,
     SingleClassDataset,
     TrainConfig,
     init_network,
@@ -191,11 +192,10 @@ class TestAnn:
         with pytest.raises(NotFitted):
             clf.predict_proba(X)
         clf.fit(X, labels, seed=15)
-        # the adapter is init_network then train at the fit seed, nothing more
+        # the adapter is init_network at the fit seed then train, nothing more
         spec = GraphSpec(branches=(BranchSpec("features", N_FEATURES),),
                          head_hidden=(8, 8))
-        net, _ = train(init_network(spec, 15), {"features": X}, labels,
-                       replace(config, seed=15))
+        net, _ = train(init_network(spec, 15), {"features": X}, labels, config)
         got = b"".join(p.tobytes() for p in clf.net.parameter_arrays())
         assert got == b"".join(p.tobytes() for p in net.parameter_arrays())
 
@@ -259,11 +259,15 @@ class TestComparison:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            make_classifier("boosting", TrainConfig(epochs=1))
-        with pytest.raises(ValueError):
             classifier_factory("boosting", TrainConfig(epochs=1))
 
     def test_factory_covers_all_kinds(self):
         config = TrainConfig(epochs=1)
+        assert CLASSIFIER_KINDS == ("widedeep", "ann", "svm", "rf", "knn")
         for kind in CLASSIFIER_KINDS:
-            assert classifier_factory(kind, config)() is not None
+            # the fold pool pickles every factory
+            factory = pickle.loads(pickle.dumps(classifier_factory(kind, config)))
+            clf = factory()
+            assert type(clf) is CLASSIFIERS[kind]
+            if isinstance(clf, NetClassifier):
+                assert clf.config == config

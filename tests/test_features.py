@@ -19,8 +19,8 @@ from slidescreen.features import (
     MPH,
     MTR,
     N_FEATURES,
+    _component_labels,
     component_counts,
-    connected_components,
     extract_features,
     least_squares_regression_line,
     malignant_probability_histogram,
@@ -36,7 +36,13 @@ from slidescreen.ingest import (
     MalformedRow,
 )
 
-from oracles import as_partition, grid_refine_line, line_sse, naive_components
+from oracles import (
+    as_partition,
+    grid_refine_line,
+    labels_as_partition,
+    line_sse,
+    naive_components,
+)
 
 
 def slide(probs, coords=None):
@@ -134,28 +140,35 @@ class TestRegressionLine:
             least_squares_regression_line([0.1] * 9)
 
 
+def partition(pts, d):
+    """The components of pts at radius d, from the labels behind
+    component_counts."""
+    (labels,) = _component_labels(pts, [d])
+    return labels_as_partition(pts, labels)
+
+
 class TestConnectedComponents:
     def test_single_point(self):
-        assert connected_components([(3.0, 4.0)], 142) == [[(3.0, 4.0)]]
+        assert _component_labels([(3.0, 4.0)], [142]).tolist() == [[0]]
 
     def test_diagonal_within_radius(self):
-        assert len(connected_components([(0, 0), (100, 100)], 142)) == 1
+        assert len(partition([(0, 0), (100, 100)], 142)) == 1
 
     def test_diagonal_beyond_radius(self):
-        assert len(connected_components([(0, 0), (100, 100)], 141)) == 2
+        assert len(partition([(0, 0), (100, 100)], 141)) == 2
 
     def test_empty_input(self):
-        assert connected_components([], 142) == []
+        assert _component_labels([], [142]).shape == (1, 0)
 
     def test_chain_linking(self):
         # a-b and b-c are close, a-c is not: still one component
         pts = [(0, 0), (140, 0), (280, 0)]
-        assert len(connected_components(pts, 142)) == 1
+        assert len(partition(pts, 142)) == 1
 
     def test_partition_property(self):
         rng = np.random.default_rng(3)
         pts = [tuple(p) for p in rng.uniform(0, 1500, size=(120, 2))]
-        comps = connected_components(pts, 283)
+        comps = partition(pts, 283)
         flat = [p for c in comps for p in c]
         assert sorted(flat) == sorted(pts)
 
@@ -165,37 +178,36 @@ class TestConnectedComponents:
             n = int(rng.integers(1, 120))
             pts = [tuple(p) for p in rng.uniform(0, 2000, size=(n, 2))]
             for d in MCC_RADII:
-                assert as_partition(connected_components(pts, d)) == \
-                    as_partition(naive_components(pts, d))
+                assert partition(pts, d) == as_partition(naive_components(pts, d))
 
     def test_monotone_in_radius(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             pts = [tuple(p) for p in rng.uniform(0, 2000, size=(80, 2))]
-            counts = [len(connected_components(pts, d)) for d in MCC_RADII]
+            counts = [len(partition(pts, d)) for d in MCC_RADII]
             assert counts == sorted(counts, reverse=True)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
-            connected_components([(0, 0)], 0)
+            _component_labels([(0, 0)], [0])
 
     @pytest.mark.parametrize("radius", [float("nan"), 0.0, -1.0])
     def test_rejects_radius_that_is_not_positive(self, radius):
         with pytest.raises(ValueError):
-            connected_components([(0, 0), (1, 1)], radius)
+            _component_labels([(0, 0), (1, 1)], [radius])
         with pytest.raises(ValueError):
             component_counts([(0, 0), (1, 1)], [142.0, radius])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_coordinate_that_is_not_finite(self, bad):
         with pytest.raises(ValueError):
-            connected_components([(0, 0), (bad, 1)], 142.0)
+            _component_labels([(0, 0), (bad, 1)], [142.0])
         with pytest.raises(ValueError):
             component_counts([(0, 0), (1, bad)], MCC_RADII)
 
     def test_infinite_radius_links_every_point(self):
         pts = [(0, 0), (10**6, 0), (-5, 3e9)]
-        assert connected_components(pts, float("inf")) == [pts]
+        assert _component_labels(pts, [float("inf")]).tolist() == [[0, 0, 0]]
         assert component_counts(pts, [1.0, float("inf")]) == [3, 1]
 
 
@@ -207,7 +219,7 @@ class TestComponentCounts:
     def test_pair_exactly_at_a_radius_links(self):
         pts = [(0, 0), (300, 400)]  # 500 px apart
         assert component_counts(pts, (499.0, 500.0, 708.0)) == [2, 1, 1]
-        assert len(connected_components(pts, 500.0)) == 1
+        assert len(partition(pts, 500.0)) == 1
 
     def test_no_points_or_no_radii(self):
         assert component_counts(np.empty((0, 2)), MCC_RADII) == [0] * 5

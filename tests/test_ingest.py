@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from slidescreen import ingest
 from slidescreen.features import FEATURE_HEADER, read_features_csv
 from slidescreen.ingest import (
     MALIGNANT,
@@ -16,7 +17,8 @@ from slidescreen.ingest import (
     NORMAL,
     PATCH_DTYPE,
     PATCH_HEADER,
-    _HEAD_BYTES,
+    LONGEST_FAST_LINE,
+    _SCAN_BYTES,
     DuplicateSlideId,
     MalformedRow,
     MissingFile,
@@ -345,7 +347,7 @@ def test_fast_path_carriage_return_in_the_header_line(tmp_path, header):
     fast_path_outcome(path)
 
 
-@pytest.mark.parametrize("blank", [1, _HEAD_BYTES], ids=["short", "past-prefix"])
+@pytest.mark.parametrize("blank", [1, _SCAN_BYTES], ids=["short", "past-prefix"])
 def test_fast_path_blank_body(tmp_path, blank):
     """A body of only blank lines is an empty slide, and a row after more
     blank lines than the prefix the fast path looks at is still read."""
@@ -355,6 +357,24 @@ def test_fast_path_blank_body(tmp_path, blank):
     assert fast_path_outcome(path) == np.array([(1, 2, 0.5)], dtype=PATCH_DTYPE).tobytes()
     write(path, "x,y,prob_malignant\n" + "\n" * blank + "1,2,-0.5\n")
     assert fast_path_outcome(path)[2] == blank + 2
+
+
+@pytest.mark.parametrize("rows_before", [1, _SCAN_BYTES // 9 - 200],
+                         ids=["first-block", "across-blocks"])
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "past-limit"])
+def test_fast_path_leaves_long_lines_to_the_row_parser(tmp_path, monkeypatch,
+                                                       rows_before, extra):
+    """numpy reads a line of LONGEST_FAST_LINE bytes; the row parser reads
+    a longer one, where a cell might pass int()'s digit limit or csv's field
+    limit, also when the line straddles two blocks of the newline scan."""
+    long_row = "0" * (LONGEST_FAST_LINE + extra - len("1,2,0.5")) + "1,2,0.5"
+    path = write(tmp_path / "a.csv",
+                 "x,y,prob_malignant\n" + "3,4,0.25\n" * rows_before + long_row + "\n")
+    parsed = []
+    monkeypatch.setattr(ingest, "_load_patches_rows",
+                        lambda p: parsed.append(p) or _load_patches_rows(p))
+    assert load_patches(path).tolist() == [(3, 4, 0.25)] * rows_before + [(1, 2, 0.5)]
+    assert len(parsed) == extra
 
 
 def test_fast_path_non_utf8_byte_far_into_the_file(tmp_path):

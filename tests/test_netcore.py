@@ -410,7 +410,7 @@ class TestModelFile:
                 assert p.base is values
                 assert p.__array_interface__["data"][0] == address + 8 * offset
                 offset += p.size
-            assert offset == values.size == graph.n_parameters()
+            assert offset == values.size == graph.spec.n_parameters()
 
     def test_layout_is_header_line_then_raw_float64(self, tmp_path):
         net = init_network(small_widedeep_spec(width=3), 4)

@@ -16,8 +16,8 @@ from slidescreen.features import (
     MCC_RADII,
     N_BINS,
     N_FEATURES,
+    _component_labels,
     component_counts,
-    connected_components,
     least_squares_regression_line,
     read_features_csv,
     write_features_csv,
@@ -38,6 +38,7 @@ from oracles import (
     as_partition,
     csv_writer_table,
     grid_refine_line,
+    labels_as_partition,
     naive_components,
     naive_grow_tree,
     pairwise_auc,
@@ -54,8 +55,8 @@ points = st.lists(st.tuples(st.integers(0, 1500), st.integers(0, 1500)), max_siz
 @PROPERTY_SETTINGS
 @given(points, st.integers(1, 800))
 def test_components_partition_matches_naive_oracle(pts, d):
-    assert as_partition(connected_components(pts, float(d))) == \
-        as_partition(naive_components(pts, float(d)))
+    (labels,) = _component_labels(pts, [float(d)])
+    assert labels_as_partition(pts, labels) == as_partition(naive_components(pts, float(d)))
 
 
 # Multiples of 50 px, duplicates allowed, put pair lengths close to every
@@ -153,6 +154,8 @@ ODD_COORDINATES = [
     str(2**53 - 1), str(2**53), str(2**53 + 1), str(2**63 - 1), str(2**63),
     str(10**20), "-1", "-0", "+7", " 7 ", "7\t", "1_000", '"5"', "1.0", "1e3",
     "0x10", "#1", "", " ", "nan", "\uff15",
+    # past csv's field size limit, and past int()'s digit limit, after a valid row
+    " " * 200_000 + "1", "0" * 5000 + "1",
 ]
 ODD_PROBABILITIES = [
     "nan", "-nan", "inf", "-inf", "1e400", "1e-400", "-0.0", "+0.5", " 0.5 ",
@@ -186,7 +189,8 @@ def patch_file_outcomes(path, lines, eol, final_eol=True):
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
-@pytest.mark.parametrize("line", ODD_LINES)
+@pytest.mark.parametrize("line", ODD_LINES,
+                         ids=lambda line: f"{line[:2]}...{line[-6:]}" if len(line) > 99 else None)
 def test_each_odd_line_matches_row_parser(tmp_path, line, eol):
     fast, rows = patch_file_outcomes(tmp_path / "slide.csv",
                                      ["1,2,0.25", line, "4,5,0.75"], eol)

@@ -67,7 +67,7 @@ def trained_model(synthetic_examples):
 
 class TestTopology:
     def test_parameter_count_pinned(self):
-        assert build_widedeep(0).n_parameters() == EXPECTED_PARAMETERS
+        assert build_widedeep(0).values.size == EXPECTED_PARAMETERS
 
     def test_concat_width(self):
         assert widedeep_spec().stacks()[-1][1][0] == 901
@@ -163,8 +163,8 @@ class TestTraining:
         X = np.array([random_row(rng) for _ in range(6)])
         labels = [0, 1, 0, 1, 0, 1]
         config = TrainConfig(epochs=3, learning_rate=1e-3, seed=5)
-        a = train_widedeep(X, labels, config, hidden=16)
-        b = train_widedeep(X, labels, config, hidden=16)
+        a = WideDeepClassifier(config, 16).fit(X, labels, config.seed).net
+        b = WideDeepClassifier(config, 16).fit(X, labels, config.seed).net
         for pa, pb in zip(a.parameter_arrays(), b.parameter_arrays()):
             np.testing.assert_array_equal(pa, pb)
 
