@@ -5,8 +5,8 @@ Every kind takes the (n, 18) feature matrix and has the same
 fit/predict_proba surface, so it plugs into cross_validate unchanged.
 The two neural kinds, the wide-and-deep model and the ANN, are netcore's
 one network classifier, each with its own spec and input routing. The
-baselines' hyperparameters follow common defaults and are constructor
-arguments:
+baselines' hyperparameters follow common defaults; KNN's k and the
+forest's tree count are constructor arguments, the others constants:
 
   KNN  k=5, Euclidean distance, distance ties broken by smaller training
        index, vote ties resolved to malignant
@@ -47,6 +47,10 @@ from .netcore import (
 )
 from .widedeep import WideDeepClassifier
 
+SVM_LAMBDA = 1e-4  # Pegasos regularization strength
+SVM_EPOCHS = 20
+RF_SPLIT_FEATURES = 4  # features drawn as candidates at each split
+
 
 class KnnClassifier:
     """k-nearest neighbors; fitting memorizes the training set verbatim."""
@@ -80,9 +84,7 @@ class KnnClassifier:
 class LinearSvmClassifier:
     """Linear SVM trained with the Pegasos stochastic subgradient method."""
 
-    def __init__(self, lam: float = 1e-4, epochs: int = 20):
-        self.lam = lam
-        self.epochs = epochs
+    def __init__(self):
         self.w: np.ndarray | None = None
         self.b = 0.0
 
@@ -95,15 +97,15 @@ class LinearSvmClassifier:
         w = np.zeros(X.shape[1])
         b = 0.0
         t = 0
-        for _ in range(self.epochs):
+        for _ in range(SVM_EPOCHS):
             for i in rng.permutation(X.shape[0]):
                 t += 1
-                eta = 1.0 / (self.lam * t)
+                eta = 1.0 / (SVM_LAMBDA * t)
                 if y[i] * (X[i] @ w + b) < 1.0:
-                    w = (1.0 - eta * self.lam) * w + eta * y[i] * X[i]
+                    w = (1.0 - eta * SVM_LAMBDA) * w + eta * y[i] * X[i]
                     b += eta * y[i]  # bias stays unregularized
                 else:
-                    w = (1.0 - eta * self.lam) * w
+                    w = (1.0 - eta * SVM_LAMBDA) * w
         self.w, self.b = w, b
         return self
 
@@ -207,9 +209,8 @@ class RandomForestClassifier:
     index, so the forest is identical no matter how trees are scheduled.
     """
 
-    def __init__(self, n_trees: int = 100, n_split_features: int = 4):
+    def __init__(self, n_trees: int = 100):
         self.n_trees = n_trees
-        self.n_split_features = n_split_features
         self.trees: list[_TreeNode] | None = None
 
     def fit(self, X, labels: Sequence[int], seed: int = 0):
@@ -217,7 +218,7 @@ class RandomForestClassifier:
         require_both_classes(labels)
         X = np.asarray(X, dtype=float)
         n = X.shape[0]
-        m = min(self.n_split_features, X.shape[1])
+        m = min(RF_SPLIT_FEATURES, X.shape[1])
         self.trees = []
         for i in range(self.n_trees):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))

@@ -1,7 +1,8 @@
 """Command-line front end for the screening pipeline.
 
 Exit codes: 0 success, 1 classification-pipeline failure, 2 I/O error,
-3 validation error, 64 usage error.
+3 validation error, 64 usage error. An error's class decides its code:
+main catches a few base classes, and each new error subclasses one.
 """
 
 from __future__ import annotations
@@ -322,13 +323,6 @@ def cmd_heatmap(args) -> int:
     return EXIT_OK
 
 
-def _errors(module: str, *names: str) -> tuple:
-    """Named exception classes of a module of this package; none if no
-    command imported it, for then nothing can have raised them."""
-    loaded = sys.modules.get(f"{__package__}.{module}")
-    return tuple(getattr(loaded, name) for name in names) if loaded else ()
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
@@ -341,20 +335,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"slidescreen: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ingest.MissingFile as exc:
+    except (ingest.MissingFile, OSError, netcore.ModelFormatError) as exc:
         print(f"slidescreen: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ingest.MalformedRow, ingest.ProbabilityOutOfRange,
-            ingest.DuplicateSlideId, *_errors("synth", "InvalidConfig"), GridTooLarge) as exc:
+    except (ingest.IngestError, GridTooLarge) as exc:
         print(f"slidescreen: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (OSError, netcore.ModelFormatError) as exc:
-        print(f"slidescreen: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (netcore.SingleClassDataset, netcore.EmptyDataset,
-            netcore.TrainingDiverged, netcore.NotFitted, ValueError,
-            *_errors("evaluation", "TooFewExamples", "SingleClassScores",
-                     "EmptyEvaluation", "NonFiniteScores")) as exc:
+    except ValueError as exc:  # every pipeline failure is one
         print(f"slidescreen: pipeline failure: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 

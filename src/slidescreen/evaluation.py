@@ -20,19 +20,19 @@ from .ingest import MALIGNANT, NORMAL, write_table
 from .seeding import derive_seed
 
 
-class TooFewExamples(Exception):
+class TooFewExamples(ValueError):
     pass
 
 
-class SingleClassScores(Exception):
+class SingleClassScores(ValueError):
     pass
 
 
-class EmptyEvaluation(Exception):
+class EmptyEvaluation(ValueError):
     pass
 
 
-class NonFiniteScores(Exception):
+class NonFiniteScores(ValueError):
     pass
 
 

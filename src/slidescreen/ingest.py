@@ -18,8 +18,10 @@ and a cell holding a carriage return is refused.
 
 from __future__ import annotations
 
+import copyreg
 import csv
 import io
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -44,13 +46,14 @@ PATCH_DTYPE = np.dtype([("x", np.int64), ("y", np.int64),
                         ("prob_malignant", np.float64)])
 # Coordinates beyond 2**53 would lose precision as float64 distances.
 MAX_COORDINATE = 2**53
-# int()'s digit limit, below csv's field size limit: a longer line goes row by row
-LONGEST_FAST_LINE = 4300
 _SCAN_BYTES = 1 << 16  # load_patches reads the header, and scans for long lines, in blocks
 
 
 class IngestError(Exception):
     """Base class for dataset loading problems."""
+
+    def __reduce__(self):  # unpickle (from a worker) without calling __init__
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class MissingFile(IngestError):
@@ -197,6 +200,14 @@ def load_manifest(path) -> tuple[ManifestEntry, ...]:
     return tuple(entries)
 
 
+def longest_fast_line() -> int:
+    """The longest line load_patches gives numpy: no cell of it can pass
+    int()'s digit limit (0 for none; none before Python 3.10.7) or csv's
+    field size limit, as they stand now."""
+    fields = csv.field_size_limit()
+    return min(getattr(sys, "get_int_max_str_digits", int)() or fields, fields)
+
+
 def load_patches(path) -> np.ndarray:
     """Parse a patch prediction CSV into a PATCH_DTYPE array; row order is
     preserved.
@@ -205,7 +216,7 @@ def load_patches(path) -> np.ndarray:
     accepts it after CSV unquoting. np.loadtxt reads the file in chunks
     after a one-line header, and the columns are range-checked in numpy;
     a file it cannot read so (a compressed suffix, a blank body, a header
-    not on one plain line, a line longer than LONGEST_FAST_LINE bytes) or
+    not on one plain line, a line longer than longest_fast_line() bytes) or
     that fails a check is parsed row by row, so the fast reader changes
     neither what is accepted nor what an error says.
 
@@ -217,6 +228,7 @@ def load_patches(path) -> np.ndarray:
     # np.loadtxt would decompress a file with one of these suffixes
     if not path.is_file() or path.suffix in (".gz", ".bz2", ".xz", ".lzma"):
         return _load_patches_rows(path)
+    longest = longest_fast_line()
     with open(path, "rb") as fh:
         head, _, body = fh.read(_SCAN_BYTES).partition(b"\n")
         # a quote, a bad byte or a carriage return inside a cell fails the match
@@ -225,9 +237,9 @@ def load_patches(path) -> np.ndarray:
         fh.seek(0)
         last = -1  # index of the last newline, from this block's start
         while fast and (block := fh.read(_SCAN_BYTES)):
-            while (nl := block.rfind(b"\n", max(last + 1, 0), last + LONGEST_FAST_LINE + 2)) >= 0:
-                last = nl  # the last newline among the next LONGEST_FAST_LINE + 1 bytes
-            fast, last = len(block) - 1 - last <= LONGEST_FAST_LINE, last - len(block)
+            while (nl := block.rfind(b"\n", max(last + 1, 0), last + longest + 2)) >= 0:
+                last = nl  # the last newline among the next longest + 1 bytes
+            fast, last = len(block) - 1 - last <= longest, last - len(block)
     if not fast:
         return _load_patches_rows(path)  # loadtxt warns on a blank body
     try:  # numpy reads a path in chunks, but a file object a line at a time

@@ -42,11 +42,11 @@ class ShapeMismatch(Exception):
     pass
 
 
-class EmptyDataset(Exception):
+class EmptyDataset(ValueError):
     pass
 
 
-class SingleClassDataset(Exception):
+class SingleClassDataset(ValueError):
     pass
 
 
@@ -54,11 +54,11 @@ class ModelFormatError(Exception):
     pass
 
 
-class TrainingDiverged(Exception):
+class TrainingDiverged(ValueError):
     pass
 
 
-class NotFitted(Exception):
+class NotFitted(ValueError):
     pass
 
 

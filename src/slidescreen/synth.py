@@ -26,6 +26,7 @@ from .ingest import (
 )
 
 PATCH_SPACING = 100  # px between adjacent patch centers
+NOISE_CONFIDENCE = (2.0, 2.0)  # beta parameters of a normal slide's false positives
 
 
 class InvalidConfig(Exception):
@@ -39,10 +40,9 @@ class SynthConfig:
     blob_count_range: tuple[int, int] = (1, 3)
     blob_radius_range: tuple[float, float] = (2.0, 5.0)  # in patch units
     noise_rate: float = 0.02  # false-positive rate on normal slides
-    # beta parameters for confidence profiles; both are rescaled into
-    # [0.5, 1.0] so the drawn patches really are classified malignant
+    # beta parameters of tumor patches' confidence; these and NOISE_CONFIDENCE
+    # are rescaled into [0.5, 1.0] so the drawn patches really are malignant
     malignant_confidence: tuple[float, float] = (8.0, 2.0)
-    noise_confidence: tuple[float, float] = (2.0, 2.0)
     seed: int = 0
 
     def validate(self) -> None:
@@ -58,9 +58,9 @@ class SynthConfig:
             raise InvalidConfig(f"bad blob_radius_range {self.blob_radius_range}")
         if not 0.0 <= self.noise_rate <= 1.0:
             raise InvalidConfig(f"noise_rate {self.noise_rate} outside [0, 1]")
-        for a, b in (self.malignant_confidence, self.noise_confidence):
-            if a <= 0 or b <= 0:
-                raise InvalidConfig("beta parameters must be positive")
+        a, b = self.malignant_confidence
+        if a <= 0 or b <= 0:
+            raise InvalidConfig("beta parameters must be positive")
 
 
 def _slide_rng(cfg: SynthConfig, index: int) -> np.random.Generator:
@@ -94,8 +94,7 @@ def _generate_slide(cfg: SynthConfig, label: int, index: int) -> SlideRecord:
         malignant_mask = rng.random(n) < cfg.noise_rate
     n_mal = int(np.count_nonzero(malignant_mask))
     if n_mal:
-        params = (cfg.malignant_confidence if label == MALIGNANT
-                  else cfg.noise_confidence)
+        params = cfg.malignant_confidence if label == MALIGNANT else NOISE_CONFIDENCE
         probs[malignant_mask] = _confidence(rng, params, n_mal)
     patches = np.empty(n, dtype=PATCH_DTYPE)
     patches["x"] = cols * PATCH_SPACING

@@ -1,7 +1,10 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import importlib
 import json
 import os
+import pickle
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 import slidescreen
-from slidescreen import baselines, cli, features, ingest, netcore, widedeep
+from slidescreen import baselines, cli, evaluation, features, ingest, netcore, synth, widedeep
 from slidescreen.cli import main
 from slidescreen.features import extract_features, read_features_csv
 from slidescreen.ingest import load_manifest, load_slide
@@ -73,15 +76,19 @@ class TestExtractCommand:
         assert len(lines) == 1
         assert lines[0].startswith("slide_id,label,mtr,")
 
-    def test_bad_probability_is_validation_error(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_probability_is_validation_error(self, tmp_path, jobs):
+        """Two slides, so that --jobs 2 reads them in two workers."""
         (tmp_path / "s.csv").write_text("x,y,prob_malignant\n0,0,1.2\n",
+                                        encoding="utf-8")
+        (tmp_path / "t.csv").write_text("x,y,prob_malignant\n0,0,0.5\n",
                                         encoding="utf-8")
         manifest = tmp_path / "m.csv"
         manifest.write_text(
-            "slide_id,label,predictions_path\ns1,malignant,s.csv\n",
+            "slide_id,label,predictions_path\ns1,malignant,s.csv\ns2,normal,t.csv\n",
             encoding="utf-8")
         assert run("extract", "--manifest", manifest,
-                   "--out", tmp_path / "f.csv") == 3
+                   "--out", tmp_path / "f.csv", "--jobs", jobs) == 3
 
     def test_parallel_extract_identical(self, dataset, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -549,3 +556,86 @@ def test_serial_commands_never_import_unused_modules(dataset, tmp_path, command)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command", ["extract", "cv", "compare"])
+def test_worker_error_exits_like_a_serial_one(tmp_path, capsys, command):
+    """A malformed slide read in a pool worker exits 3 with the serial
+    run's one stderr line, not with a traceback of a broken pool."""
+    (tmp_path / "good.csv").write_text("x,y,prob_malignant\n0,0,0.5\n", encoding="utf-8")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,y,prob_malignant\n0,0,0.5\n1.5,2,0.25\n", encoding="utf-8")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("slide_id,label,predictions_path\n"
+                        "s1,malignant,good.csv\ns2,normal,bad.csv\n", encoding="utf-8")
+    argv = {"extract": ["extract", "--out", tmp_path / "f.csv"],
+            "cv": ["cv", "--model", "knn", "--k", 2, "--seed", 7, "--out", tmp_path / "out"],
+            "compare": ["compare", "--models", "knn", "--k", 2, "--seed", 7,
+                        "--out", tmp_path / "out"]}[command]
+    for jobs in (1, 2):
+        capsys.readouterr()
+        assert run(*argv, "--manifest", manifest, "--jobs", jobs) == 3
+        assert capsys.readouterr().err == \
+            f"slidescreen: validation error: {bad}:3: bad coordinates ['1.5', '2']\n"
+    assert not (tmp_path / "out").exists()
+
+
+# One instance of every error class of the package, with the exit code that
+# main gives it, or None for the classes that cannot reach main.
+ERRORS = [
+    (cli.UsageError("--models names knn more than once"), 64),
+    (cli.GridTooLarge("s.csv: heatmap grid of 9 x 9 cells exceeds 4 cells"), 3),
+    (ingest.IngestError("s.csv: unreadable"), 3),
+    (ingest.MissingFile("gone.csv"), 2),
+    (ingest.MalformedRow("s.csv", 3, "bad coordinates ['1.5', '2']"), 3),
+    (ingest.ProbabilityOutOfRange("s.csv", 2, 1.5), 3),
+    (ingest.DuplicateSlideId("s1"), 3),
+    (netcore.ModelFormatError("m.bin: not a valid model file"), 2),
+    (netcore.EmptyDataset("training set is empty"), 1),
+    (netcore.SingleClassDataset("training requires examples of both classes"), 1),
+    (netcore.TrainingDiverged("loss is nan at epoch 3"), 1),
+    (netcore.NotFitted("KNN queried before fit"), 1),
+    (evaluation.TooFewExamples("class 1 has 2 examples, fewer than k=3"), 1),
+    (evaluation.SingleClassScores("AUC needs scores from both classes"), 1),
+    (evaluation.EmptyEvaluation("confusion matrix is empty"), 1),
+    (evaluation.NonFiniteScores("AnnClassifier fold 2: non-finite score"), 1),
+    (netcore.InvalidTopology("graph has no inputs"), None),  # load_model wraps it
+    (netcore.ShapeMismatch("inputs disagree on batch size"), None),  # predict checks widths
+    (synth.InvalidConfig("grid_extent must be >= 1"), None),  # synth raises a UsageError
+]
+
+
+def error_id(value):
+    return type(value).__name__ if isinstance(value, Exception) else None
+
+
+def test_error_table_holds_every_error_class():
+    """A new error class of the package fails here until it is in ERRORS,
+    with the exit code main gives it."""
+    found = set()
+    for info in pkgutil.iter_modules(slidescreen.__path__):
+        module = importlib.import_module(f"slidescreen.{info.name}")
+        found.update(obj for obj in vars(module).values()
+                     if isinstance(obj, type) and issubclass(obj, Exception)
+                     and obj.__module__ == module.__name__)
+    assert sorted(type(error).__name__ for error, _ in ERRORS) == \
+        sorted(cls.__name__ for cls in found)
+
+
+@pytest.mark.parametrize("error,code", [e for e in ERRORS if e[1] is not None], ids=error_id)
+def test_main_gives_each_error_class_its_exit_code(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_heatmap", fail)
+    assert run("heatmap", "--slide", "s.csv", "--out", "grid.csv") == code
+    kind = {64: "usage error: ", 3: "validation error: ", 2: "", 1: "pipeline failure: "}
+    assert capsys.readouterr().err == f"slidescreen: {kind[code]}{error}\n"
+
+
+@pytest.mark.parametrize("error", [error for error, _ in ERRORS], ids=error_id)
+def test_error_survives_pickling(error):
+    """A worker of the process pool sends its error back pickled."""
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert (str(back), back.args, vars(back)) == (str(error), error.args, vars(error))

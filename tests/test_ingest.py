@@ -1,8 +1,11 @@
 """Manifest and patch-file loading, validation and round-trips."""
 
 import bz2
+import contextlib
+import csv
 import gzip
 import lzma
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,7 +20,6 @@ from slidescreen.ingest import (
     NORMAL,
     PATCH_DTYPE,
     PATCH_HEADER,
-    LONGEST_FAST_LINE,
     _SCAN_BYTES,
     DuplicateSlideId,
     MalformedRow,
@@ -27,6 +29,7 @@ from slidescreen.ingest import (
     load_manifest,
     load_patches,
     load_slide,
+    longest_fast_line,
     parse_label,
     write_manifest,
     write_patches,
@@ -364,10 +367,10 @@ def test_fast_path_blank_body(tmp_path, blank):
 @pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "past-limit"])
 def test_fast_path_leaves_long_lines_to_the_row_parser(tmp_path, monkeypatch,
                                                        rows_before, extra):
-    """numpy reads a line of LONGEST_FAST_LINE bytes; the row parser reads
+    """numpy reads a line of longest_fast_line() bytes; the row parser reads
     a longer one, where a cell might pass int()'s digit limit or csv's field
     limit, also when the line straddles two blocks of the newline scan."""
-    long_row = "0" * (LONGEST_FAST_LINE + extra - len("1,2,0.5")) + "1,2,0.5"
+    long_row = "0" * (longest_fast_line() + extra - len("1,2,0.5")) + "1,2,0.5"
     path = write(tmp_path / "a.csv",
                  "x,y,prob_malignant\n" + "3,4,0.25\n" * rows_before + long_row + "\n")
     parsed = []
@@ -375,6 +378,48 @@ def test_fast_path_leaves_long_lines_to_the_row_parser(tmp_path, monkeypatch,
                         lambda p: parsed.append(p) or _load_patches_rows(p))
     assert load_patches(path).tolist() == [(3, 4, 0.25)] * rows_before + [(1, 2, 0.5)]
     assert len(parsed) == extra
+
+
+@contextlib.contextmanager
+def limits(int_digits, csv_field):
+    """Python's int digit limit and csv's field size limit set for a block."""
+    saved = sys.get_int_max_str_digits(), csv.field_size_limit()
+    sys.set_int_max_str_digits(int_digits)
+    csv.field_size_limit(csv_field)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved[0])
+        csv.field_size_limit(saved[1])
+
+
+needs_int_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                           reason="no int digit limit before Python 3.10.7")
+
+
+@needs_int_digit_limit
+def test_longest_fast_line_is_the_smaller_limit_when_called():
+    with limits(4300, 131072):
+        assert longest_fast_line() == 4300
+    with limits(640, 131072):
+        assert longest_fast_line() == 640
+    with limits(0, 131072):  # 0: no int digit limit
+        assert longest_fast_line() == 131072
+    with limits(4300, 1000):
+        assert longest_fast_line() == 1000
+
+
+@needs_int_digit_limit
+def test_fast_path_follows_a_lowered_int_digit_limit(tmp_path):
+    """A 1 007-byte line whose x has 1 001 digits: past a digit limit of 640
+    it is the row parser's MalformedRow, at the default limit a patch."""
+    path = write(tmp_path / "a.csv", "x,y,prob_malignant\n1,2,0.25\n" + "0" * 1000 + "1,3,0.5\n")
+    with limits(640, 131072):
+        assert fast_path_outcome(path) == (
+            MalformedRow, f"{path}:3: bad coordinates ['{'0' * 1000}1', '3']", 3)
+    with limits(4300, 131072):
+        assert fast_path_outcome(path) == np.array([(1, 2, 0.25), (1, 3, 0.5)],
+                                                   dtype=PATCH_DTYPE).tobytes()
 
 
 def test_fast_path_non_utf8_byte_far_into_the_file(tmp_path):
