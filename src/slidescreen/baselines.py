@@ -5,8 +5,8 @@ Every kind takes the (n, 18) feature matrix and has the same
 fit/predict_proba surface, so it plugs into cross_validate unchanged.
 The two neural kinds, the wide-and-deep model and the ANN, are netcore's
 one network classifier, each with its own spec and input routing. The
-baselines' hyperparameters follow common defaults; KNN's k and the
-forest's tree count are constructor arguments, the others constants:
+baselines' hyperparameters follow common defaults, each a module
+constant that no caller sets:
 
   KNN  k=5, Euclidean distance, distance ties broken by smaller training
        index, vote ties resolved to malignant
@@ -45,20 +45,22 @@ from .netcore import (
     TrainConfig,
     require_both_classes,
 )
-from .widedeep import WideDeepClassifier
+from .widedeep import HIDDEN_WIDTH, WideDeepClassifier
 
+KNN_NEIGHBOURS = 5
 SVM_LAMBDA = 1e-4  # Pegasos regularization strength
 SVM_EPOCHS = 20
+RF_TREES = 100
 RF_SPLIT_FEATURES = 4  # features drawn as candidates at each split
+ANN_SPEC = GraphSpec(branches=(BranchSpec("features", N_FEATURES),),
+                     head_hidden=(HIDDEN_WIDTH, HIDDEN_WIDTH))  # the wide-and-deep width
 
 
 class KnnClassifier:
     """k-nearest neighbors; fitting memorizes the training set verbatim."""
 
-    def __init__(self, k: int = 5):
-        self.k = k
-        self.X: np.ndarray | None = None
-        self.y: np.ndarray | None = None
+    X: np.ndarray | None = None
+    y: np.ndarray | None = None
 
     def fit(self, X, labels: Sequence[int], seed: int = 0):
         if len(X) == 0:
@@ -71,7 +73,7 @@ class KnnClassifier:
         if self.X is None:
             raise NotFitted("KNN queried before fit")
         Q = np.asarray(X, dtype=float)
-        k = min(self.k, self.X.shape[0])
+        k = min(KNN_NEIGHBOURS, self.X.shape[0])
         out = np.empty(Q.shape[0])
         for i, q in enumerate(Q):
             d2 = ((self.X - q) ** 2).sum(axis=1)
@@ -209,9 +211,7 @@ class RandomForestClassifier:
     index, so the forest is identical no matter how trees are scheduled.
     """
 
-    def __init__(self, n_trees: int = 100):
-        self.n_trees = n_trees
-        self.trees: list[_TreeNode] | None = None
+    trees: list[_TreeNode] | None = None
 
     def fit(self, X, labels: Sequence[int], seed: int = 0):
         labels = np.asarray(labels, dtype=int)
@@ -220,7 +220,7 @@ class RandomForestClassifier:
         n = X.shape[0]
         m = min(RF_SPLIT_FEATURES, X.shape[1])
         self.trees = []
-        for i in range(self.n_trees):
+        for i in range(RF_TREES):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
             boot = rng.integers(0, n, size=n)
             self.trees.append(_grow_tree(X[boot], labels[boot], rng, m))
@@ -242,10 +242,8 @@ def _whole_row(X) -> dict[str, np.ndarray]:
 class AnnClassifier(NetClassifier):
     """Plain feed-forward network on the whole 18-wide feature row."""
 
-    def __init__(self, config: TrainConfig, hidden: tuple[int, ...] = (300, 300)):
-        spec = GraphSpec(branches=(BranchSpec("features", N_FEATURES),),
-                         head_hidden=tuple(hidden))
-        super().__init__(config, spec, _whole_row)
+    def __init__(self, config: TrainConfig):
+        super().__init__(config, ANN_SPEC, _whole_row)
 
 
 # kind -> class, in compare's default row order

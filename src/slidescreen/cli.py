@@ -27,6 +27,7 @@ EXIT_USAGE = 64
 GRID_SPACING = 100  # px; heatmap cells snap to the nearest grid cell
 # 4x the ~4 M cells of a 200 000-px slide at GRID_SPACING
 MAX_HEATMAP_CELLS = 2**24
+DEFAULT_FOLDS = 5  # --k of cv and compare
 
 
 class UsageError(Exception):
@@ -64,20 +65,21 @@ def _add_dataset_args(sub):
 def _add_train_args(sub):
     sub.add_argument("--seed", type=int, required=True,
                      help="master seed; all randomness derives from it")
-    sub.add_argument("--epochs", type=int, default=10000)
-    sub.add_argument("--lr", type=float, default=1e-3)
+    sub.add_argument("--epochs", type=int, default=netcore.TrainConfig.epochs)
+    sub.add_argument("--lr", type=float, default=netcore.TrainConfig.learning_rate)
 
 
 def _add_synth(p):
+    from .synth import SynthConfig
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--slides-per-label", type=int, default=100)
-    p.add_argument("--grid", type=int, default=20, help="patches per side")
-    p.add_argument("--blobs", type=int, nargs=2, default=[1, 3],
+    p.add_argument("--slides-per-label", type=int, default=SynthConfig.n_slides_per_label)
+    p.add_argument("--grid", type=int, default=SynthConfig.grid_extent, help="patches per side")
+    p.add_argument("--blobs", type=int, nargs=2, default=SynthConfig.blob_count_range,
                    metavar=("MIN", "MAX"))
-    p.add_argument("--blob-radius", type=float, nargs=2, default=[2.0, 5.0],
-                   metavar=("MIN", "MAX"))
-    p.add_argument("--noise-rate", type=float, default=0.02)
+    p.add_argument("--blob-radius", type=float, nargs=2,
+                   default=SynthConfig.blob_radius_range, metavar=("MIN", "MAX"))
+    p.add_argument("--noise-rate", type=float, default=SynthConfig.noise_rate)
     p.set_defaults(func=cmd_synth)
 
 
@@ -93,7 +95,7 @@ def _add_cv(p):
     _add_dataset_args(p)
     p.add_argument("--model", choices=baselines.CLASSIFIER_KINDS,
                    default="widedeep")
-    p.add_argument("--k", type=_int_at_least(2), default=5)
+    p.add_argument("--k", type=_int_at_least(2), default=DEFAULT_FOLDS)
     _add_train_args(p)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_cv)
@@ -104,7 +106,7 @@ def _add_compare(p):
     _add_dataset_args(p)
     p.add_argument("--models", nargs="+", choices=baselines.CLASSIFIER_KINDS,
                    default=list(baselines.CLASSIFIER_KINDS))
-    p.add_argument("--k", type=_int_at_least(2), default=5)
+    p.add_argument("--k", type=_int_at_least(2), default=DEFAULT_FOLDS)
     _add_train_args(p)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_compare)
@@ -161,8 +163,8 @@ def cmd_synth(args) -> int:
     cfg = synth.SynthConfig(
         n_slides_per_label=args.slides_per_label,
         grid_extent=args.grid,
-        blob_count_range=(args.blobs[0], args.blobs[1]),
-        blob_radius_range=(args.blob_radius[0], args.blob_radius[1]),
+        blob_count_range=tuple(args.blobs),
+        blob_radius_range=tuple(args.blob_radius),
         noise_rate=args.noise_rate,
         seed=args.seed,
     )

@@ -1,12 +1,12 @@
 """The wide-and-deep slide classifier over (n, 18) feature matrices.
 
 Three deep branches (histogram 10-wide, regression line 2-wide,
-component profile 5-wide), each two hidden layers of 300 ReLU units, and
-the wide branch, the raw 1-wide malignant tissue ratio with no hidden
-layers, concatenated (width 901) into a two-layer head and a 2-way
-softmax. Each network input is a column slice of the matrix.
-WideDeepClassifier is netcore's one network classifier with this spec
-and that routing.
+component profile 5-wide) and the wide branch, the raw 1-wide malignant
+tissue ratio, concatenated (width 901) into a head and a 2-way softmax.
+Each deep branch and the head have two hidden layers of the paper's
+HIDDEN_WIDTH = 300 ReLU units. Each network input is a column slice of
+the matrix. WideDeepClassifier is netcore's one network classifier with
+this spec and that routing.
 """
 
 from __future__ import annotations
@@ -37,24 +37,24 @@ INPUT_MTR = "mtr"
 # network input -> its column slice of the feature matrix
 INPUT_COLUMNS = {INPUT_MPH: MPH, INPUT_LSRL: LSRL, INPUT_MCC: MCC, INPUT_MTR: MTR}
 
-HIDDEN_WIDTH = 300
+HIDDEN_WIDTH = 300  # units in every hidden layer, branches and head
 
 
 def _width(name: str) -> int:
     return INPUT_COLUMNS[name].stop - INPUT_COLUMNS[name].start
 
 
-def widedeep_spec(hidden: int = HIDDEN_WIDTH) -> GraphSpec:
+def widedeep_spec() -> GraphSpec:
     return GraphSpec(
-        branches=tuple(BranchSpec(name, _width(name), (hidden, hidden))
+        branches=tuple(BranchSpec(name, _width(name), (HIDDEN_WIDTH, HIDDEN_WIDTH))
                        for name in (INPUT_MPH, INPUT_LSRL, INPUT_MCC))
         + (BranchSpec(INPUT_MTR, _width(INPUT_MTR)),),
-        head_hidden=(hidden, hidden),
+        head_hidden=(HIDDEN_WIDTH, HIDDEN_WIDTH),
     )
 
 
-def build_widedeep(seed: int, hidden: int = HIDDEN_WIDTH) -> NetworkGraph:
-    return init_network(widedeep_spec(hidden), seed)
+def build_widedeep(seed: int) -> NetworkGraph:
+    return init_network(widedeep_spec(), seed)
 
 
 def features_to_inputs(features) -> dict[str, np.ndarray]:
@@ -80,8 +80,8 @@ def predict_slide(net: NetworkGraph, row: np.ndarray) -> tuple[int, float]:
 class WideDeepClassifier(NetClassifier):
     """The wide-and-deep network as a fit/predict_proba classifier."""
 
-    def __init__(self, config: TrainConfig, hidden: int = HIDDEN_WIDTH):
-        super().__init__(config, widedeep_spec(hidden), features_to_inputs)
+    def __init__(self, config: TrainConfig):
+        super().__init__(config, widedeep_spec(), features_to_inputs)
 
 
 def train_widedeep(features, labels: Sequence[int], config: TrainConfig) -> NetworkGraph:

@@ -6,6 +6,7 @@ quantity, or computed by an independent oracle from ``oracles.py``;
 nothing is calibrated against the implementation.
 """
 
+import os
 import time
 
 import numpy as np
@@ -71,10 +72,14 @@ def default_synthetic_examples():
 @pytest.fixture(scope="module")
 def comparison_reports(default_synthetic_examples):
     """One 5-fold comparison run shared by criteria 5 and 9: the
-    wide-and-deep row is exactly the 5-fold CV of criterion 5."""
+    wide-and-deep row is exactly the 5-fold CV of criterion 5. Trained
+    bytes do not depend on the worker count at an equal BLAS thread count,
+    so with BLAS at one thread per process (as in CI) the 25 fold tasks
+    run on every core."""
     config = TrainConfig(epochs=500, learning_rate=1e-3, seed=0)
+    jobs = (os.cpu_count() or 1) if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else 1
     return run_comparison(default_synthetic_examples, k=5, seed=20240501,
-                          config=config)
+                          config=config, jobs=jobs)
 
 
 def test_c1_formula_fidelity_against_reference_table():

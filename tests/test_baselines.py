@@ -1,5 +1,6 @@
 """Comparison classifiers: behavior, determinism and oracle agreement."""
 
+import hashlib
 import inspect
 import pickle
 
@@ -9,6 +10,7 @@ import pytest
 from slidescreen.baselines import (
     CLASSIFIERS,
     CLASSIFIER_KINDS,
+    KNN_NEIGHBOURS,
     AnnClassifier,
     KnnClassifier,
     LinearSvmClassifier,
@@ -19,7 +21,7 @@ from slidescreen.baselines import (
     write_comparison_csv,
 )
 from slidescreen import evaluation
-from slidescreen.evaluation import LabeledExample, cross_validate
+from slidescreen.evaluation import LabeledExample, cross_validate, stratified_kfold
 from slidescreen.features import LSRL, MCC, MPH, MTR, N_FEATURES
 from slidescreen.ingest import MALIGNANT, NORMAL
 from slidescreen.netcore import (
@@ -31,6 +33,8 @@ from slidescreen.netcore import (
     init_network,
     train,
 )
+from slidescreen.seeding import derive_seed
+from slidescreen.widedeep import HIDDEN_WIDTH
 
 from oracles import knn_proba
 
@@ -69,24 +73,17 @@ class TestKnn:
         X = np.zeros((6, N_FEATURES))
         X[:, MTR] = np.array([[0.1, 0.11, 0.12, 0.13, 0.5, 0.9]]).T
         labels = [MALIGNANT, MALIGNANT, MALIGNANT, MALIGNANT, NORMAL, NORMAL]
-        clf = KnnClassifier(k=5).fit(X, labels)
+        clf = KnnClassifier().fit(X, labels)
         assert clf.predict_proba(X[:1])[0] == 0.8
-
-    def test_k1_training_accuracy_is_perfect(self):
-        rng = np.random.default_rng(1)
-        X, labels = separable_dataset(rng, gap=0.0)  # overlapping classes
-        clf = KnnClassifier(k=1).fit(X, labels)
-        probs = clf.predict_proba(X)
-        np.testing.assert_array_equal((probs >= 0.5).astype(int), labels)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2)
         X, labels = separable_dataset(rng, n_per_class=20, gap=0.3)
-        clf = KnnClassifier(k=5).fit(X, labels)
+        clf = KnnClassifier().fit(X, labels)
         for _ in range(100):
             q = random_row(rng, shift=float(rng.uniform(0, 0.3)))
             got = clf.predict_proba(q[None, :])[0]
-            want = knn_proba(X, labels, q, k=5)
+            want = knn_proba(X, labels, q, k=KNN_NEIGHBOURS)
             assert got == want
 
     def test_unfitted_rejected(self):
@@ -133,21 +130,21 @@ class TestRandomForest:
     def test_same_seed_identical_forest(self):
         rng = np.random.default_rng(7)
         X, labels = separable_dataset(rng, n_per_class=10)
-        a = RandomForestClassifier(n_trees=25).fit(X, labels, seed=8)
-        b = RandomForestClassifier(n_trees=25).fit(X, labels, seed=8)
+        a = RandomForestClassifier().fit(X, labels, seed=8)
+        b = RandomForestClassifier().fit(X, labels, seed=8)
         assert a.trees == b.trees  # recursive dataclass equality
 
     def test_unanimous_vote_is_one(self):
         rng = np.random.default_rng(8)
         X, labels = separable_dataset(rng, gap=3.0)
-        clf = RandomForestClassifier(n_trees=30).fit(X, labels, seed=9)
+        clf = RandomForestClassifier().fit(X, labels, seed=9)
         deep_malignant = random_row(rng, shift=3.0)
         assert clf.predict_proba(deep_malignant[None, :])[0] == 1.0
 
     def test_tree_order_invariance(self):
         rng = np.random.default_rng(9)
         X, labels = separable_dataset(rng, gap=0.4)
-        clf = RandomForestClassifier(n_trees=20).fit(X, labels, seed=10)
+        clf = RandomForestClassifier().fit(X, labels, seed=10)
         queries = np.array([random_row(rng) for _ in range(10)])
         before = clf.predict_proba(queries)
         perm = rng.permutation(len(clf.trees))
@@ -173,8 +170,7 @@ class TestAnn:
     def test_separable_training_accuracy(self):
         rng = np.random.default_rng(12)
         X, labels = separable_dataset(rng)
-        clf = AnnClassifier(TrainConfig(epochs=150, learning_rate=1e-2),
-                            hidden=(16, 16)).fit(X, labels, seed=13)
+        clf = AnnClassifier(TrainConfig(epochs=150, learning_rate=1e-2)).fit(X, labels, seed=13)
         preds = (clf.predict_proba(X) >= 0.5).astype(int)
         np.testing.assert_array_equal(preds, labels)
 
@@ -188,16 +184,23 @@ class TestAnn:
         rng = np.random.default_rng(14)
         X, labels = separable_dataset(rng, n_per_class=5)
         config = TrainConfig(epochs=4, learning_rate=1e-2, seed=99)
-        clf = AnnClassifier(config, hidden=(8, 8))
+        clf = AnnClassifier(config)
         with pytest.raises(NotFitted):
             clf.predict_proba(X)
         clf.fit(X, labels, seed=15)
         # the adapter is init_network at the fit seed then train, nothing more
         spec = GraphSpec(branches=(BranchSpec("features", N_FEATURES),),
-                         head_hidden=(8, 8))
+                         head_hidden=(HIDDEN_WIDTH, HIDDEN_WIDTH))
         net, _ = train(init_network(spec, 15), {"features": X}, labels, config)
         got = b"".join(p.tobytes() for p in clf.net.parameter_arrays())
         assert got == b"".join(p.tobytes() for p in net.parameter_arrays())
+
+
+def fold_model_digest(task):
+    """sha256 of the parameters of one fold's network, trained in the
+    process that parallel_map runs it in."""
+    factory, X, labels, seed = task
+    return hashlib.sha256(factory().fit(X, labels, seed).net.values.tobytes()).hexdigest()
 
 
 class TestComparison:
@@ -239,6 +242,24 @@ class TestComparison:
         for kind in kinds:
             assert reports[kind] == cross_validate(
                 examples, classifier_factory(kind, config), 3, 17)
+
+    def test_fold_models_same_bytes_serial_and_parallel(self):
+        """Reports hold thresholded metrics only; the trained parameters
+        themselves are the same whether a fold trains in this process or
+        in a pool worker."""
+        examples = self.make_examples()
+        ids = np.array([e.slide_id for e in examples])
+        X = np.array([e.features for e in examples])
+        y = np.array([e.label for e in examples])
+        folds = stratified_kfold([(e.slide_id, e.label) for e in examples], 3, 19).folds
+        config = TrainConfig(epochs=5, learning_rate=1e-3)
+        tasks = [(classifier_factory(kind, config), X[train], y[train],
+                  derive_seed(19, f"fold-{i}"))
+                 for kind in ("widedeep", "ann")
+                 for i, train in enumerate(~np.isin(ids, fold) for fold in folds)]
+        serial = evaluation.parallel_map(fold_model_digest, tasks, jobs=1)
+        assert len(set(serial)) == len(tasks)
+        assert evaluation.parallel_map(fold_model_digest, tasks, jobs=2) == serial
 
     def test_one_pool_for_every_model_and_fold(self, monkeypatch):
         calls = []

@@ -291,7 +291,9 @@ class TestTrainPredict:
 
     def test_version_3_document_is_io_error(self, tmp_path, capsys):
         model = tmp_path / "model.json"
-        model.write_text(version_3_document(widedeep.build_widedeep(seed=0, hidden=4),
+        small = netcore.GraphSpec(branches=(netcore.BranchSpec("mtr", 1, (4,)),),
+                                  head_hidden=(4,))
+        model.write_text(version_3_document(netcore.init_network(small, 0),
                                             widedeep.WIDEDEEP_TAG), encoding="utf-8")
         slide = tmp_path / "s.csv"
         slide.write_text("x,y,prob_malignant\n0,0,0.9\n", encoding="utf-8")

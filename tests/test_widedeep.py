@@ -18,6 +18,7 @@ from slidescreen.netcore import (
     train,
 )
 from slidescreen.widedeep import (
+    HIDDEN_WIDTH,
     WIDEDEEP_TAG,
     WideDeepClassifier,
     build_widedeep,
@@ -88,16 +89,17 @@ class TestTopology:
 
     def test_init_order_oracle(self):
         # weight shapes (out, in) in draw order: mph, lsrl, mcc (two
-        # layers each), mtr (none), then the head over the 8+8+8+1 concat
-        shapes = [(8, 10), (8, 8), (8, 2), (8, 8), (8, 5), (8, 8),
-                  (8, 25), (8, 8), (2, 8)]
+        # layers each), mtr (none), then the head over the 3 * 300 + 1 concat
+        h = HIDDEN_WIDTH
+        shapes = [(h, 10), (h, h), (h, 2), (h, h), (h, 5), (h, h),
+                  (h, 3 * h + 1), (h, h), (2, h)]
         rng = np.random.default_rng(5)
         expected = []
         for out_width, in_width in shapes:
             bound = np.sqrt(6.0 / in_width)
             expected += [rng.uniform(-bound, bound, size=(out_width, in_width)),
                          np.zeros(out_width)]
-        actual = build_widedeep(5, hidden=8).parameter_arrays()
+        actual = build_widedeep(5).parameter_arrays()
         assert len(actual) == len(expected)
         for a, e in zip(actual, expected):
             np.testing.assert_array_equal(a, e)
@@ -163,8 +165,8 @@ class TestTraining:
         X = np.array([random_row(rng) for _ in range(6)])
         labels = [0, 1, 0, 1, 0, 1]
         config = TrainConfig(epochs=3, learning_rate=1e-3, seed=5)
-        a = WideDeepClassifier(config, 16).fit(X, labels, config.seed).net
-        b = WideDeepClassifier(config, 16).fit(X, labels, config.seed).net
+        a = WideDeepClassifier(config).fit(X, labels, config.seed).net
+        b = WideDeepClassifier(config).fit(X, labels, config.seed).net
         for pa, pb in zip(a.parameter_arrays(), b.parameter_arrays()):
             np.testing.assert_array_equal(pa, pb)
 
@@ -172,7 +174,7 @@ class TestTraining:
         rng = np.random.default_rng(6)
         X = np.array([random_row(rng) for _ in range(8)])
         labels = np.array([0, 1] * 4)
-        clf = WideDeepClassifier(TrainConfig(epochs=2), hidden=8)
+        clf = WideDeepClassifier(TrainConfig(epochs=2))
         with pytest.raises(NotFitted):
             clf.predict_proba(X)
         clf.fit(X, labels, seed=1)
@@ -180,7 +182,7 @@ class TestTraining:
         assert scores.shape == (8,)
         assert ((scores >= 0) & (scores <= 1)).all()
         # the adapter is init_network then train at the fit seed, nothing more
-        net, _ = train(init_network(widedeep_spec(8), 1), features_to_inputs(X),
+        net, _ = train(init_network(widedeep_spec(), 1), features_to_inputs(X),
                        labels, TrainConfig(epochs=2, seed=1))
         for got, want in zip(clf.net.parameter_arrays(), net.parameter_arrays()):
             assert got.tobytes() == want.tobytes()
@@ -192,7 +194,7 @@ class TestRouting:
         # and mtr >= 0, ReLU is positively homogeneous, so the logits
         # become an exactly affine function of mtr alone
         rng = np.random.default_rng(10)
-        net = build_widedeep(11, hidden=16)
+        net = build_widedeep(11)
         concat = net.head[0].weights.shape[1]
         net.head[0].weights[:, : concat - 1] = 0.0
 
@@ -217,7 +219,7 @@ class TestRouting:
         from slidescreen.netcore import loss_and_gradients
 
         rng = np.random.default_rng(12)
-        net = build_widedeep(13, hidden=8)
+        net = build_widedeep(13)
         for layer in net.branches[2]:  # the mcc branch
             layer.weights[:] = 0.0
             layer.biases[:] = 0.0
@@ -234,7 +236,7 @@ class TestRouting:
 class TestSerialization:
     def test_round_trip_with_topology_tag(self, tmp_path):
         rng = np.random.default_rng(14)
-        net = build_widedeep(15, hidden=8)
+        net = build_widedeep(15)
         X = np.array([random_row(rng) for _ in range(3)])
         before = predict_proba(net, X)
         path = tmp_path / "model.json"
