@@ -281,16 +281,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    net, topology, _ = netcore.load_model(args.model)
-    if topology != widedeep.WIDEDEEP_TAG:
-        raise netcore.ModelFormatError(
-            f"{args.model}: topology {topology!r} is not {widedeep.WIDEDEEP_TAG!r}"
-        )
-    expected = widedeep.widedeep_spec().input_widths()
-    if net.spec.input_widths() != expected:
-        raise netcore.ModelFormatError(
-            f"{args.model}: model inputs {net.spec.input_widths()} are not "
-            f"the wide-and-deep inputs {expected}")
+    net, _ = netcore.load_model(args.model, widedeep.WIDEDEEP_TAG, widedeep.widedeep_spec())
     row = features.extract_features(ingest.load_patches(args.slide))
     with np.errstate(over="ignore", invalid="ignore"):
         label, p = widedeep.predict_slide(net, row)

@@ -36,6 +36,10 @@ class NonFiniteScores(ValueError):
     pass
 
 
+class WorkerDied(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class LabeledExample:
     slide_id: str
@@ -188,12 +192,16 @@ def mean_metrics(metric_sets: Sequence[MetricSet]) -> MetricSet:
 def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
     """fn applied to every item, results in input order; in up to jobs
     worker processes, never more than there are items (a forking pool
-    starts all its workers at once), so fn and the items must pickle."""
+    starts all its workers at once), so fn and the items must pickle.
+    A worker that dies without raising, say from a signal, raises WorkerDied."""
     workers = min(jobs, len(items))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+    if workers > 1:  # serial runs never load the pool
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(fn, items))
+        except BrokenExecutor as exc:  # a BrokenProcessPool
+            raise WorkerDied(f"a worker process died: {exc}") from None
     return [fn(item) for item in items]
 
 

@@ -30,6 +30,7 @@ SOFTMAX = "softmax"
 
 MODEL_FORMAT = "slidescreen-model"
 MODEL_FORMAT_VERSION = 4
+MAX_HEADER_BYTES = 2**16  # bytes a model file's header line may hold; a real one holds ~700
 
 N_CLASSES = 2
 
@@ -449,41 +450,39 @@ class NetClassifier:
         return forward(self.net, self.route(X))[:, 1]
 
 
+def _header(spec: GraphSpec, topology: str, meta: dict | None = None) -> dict:
+    """The header of a model file of spec saved under the topology tag: the
+    format tag and version, topology, spec, meta and the activation of every
+    layer, per stack."""
+    stacks = [list(activations) for _, _, activations in spec.stacks()]
+    return {"format": MODEL_FORMAT, "format_version": MODEL_FORMAT_VERSION,
+            "topology": topology,
+            "spec": {"branches": [asdict(b) for b in spec.branches],
+                     "head_hidden": list(spec.head_hidden)},
+            "meta": meta or {},
+            "activations": {"branches": stacks[:-1], "head": stacks[-1]}}
+
+
 def save_model(net: NetworkGraph, path, topology: str,
                meta: dict | None = None) -> None:
-    """Write a model file: one line of ASCII JSON, the header, then the
-    payload, net.values as little-endian float64 (per layer: weights
-    (out, in) row-major, then biases).
+    """Write a model file: one line of ASCII JSON, the header (see _header),
+    then the payload, net.values as little-endian float64 (per layer:
+    weights (out, in) row-major, then biases).
 
-    The header holds the format tag and version, topology tag, spec,
-    meta and the activation of every layer, per stack. The spec gives
-    every array's shape, so the file holds no offsets. Reloading gives
-    bit-identical parameters, so forward outputs are reproduced exactly.
+    The spec gives every array's shape, so the file holds no offsets.
+    Reloading gives bit-identical parameters, so forward outputs are
+    reproduced exactly.
 
     The file is written under a temporary name in the target directory
     and renamed over the target, so a save that fails or is interrupted
     leaves the previous file as it was and no partial file behind.
     """
-    header = {
-        "format": MODEL_FORMAT,
-        "format_version": MODEL_FORMAT_VERSION,
-        "topology": topology,
-        "spec": {
-            "branches": [asdict(b) for b in net.spec.branches],
-            "head_hidden": list(net.spec.head_hidden),
-        },
-        "meta": meta or {},
-        "activations": {
-            "branches": [[layer.activation for layer in branch] for branch in net.branches],
-            "head": [layer.activation for layer in net.head],
-        },
-    }
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(json.dumps(header).encode("ascii") + b"\n")
+            fh.write(json.dumps(_header(net.spec, topology, meta)).encode("ascii") + b"\n")
             fh.write(np.ascontiguousarray(net.values, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
@@ -491,81 +490,48 @@ def save_model(net: NetworkGraph, path, topology: str,
         raise
 
 
-def _check_format(path, doc: dict) -> None:
-    if doc.get("format") != MODEL_FORMAT:
-        raise ModelFormatError(f"{path}: unknown format {doc.get('format')!r}")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported model format version {doc.get('format_version')!r} "
-            f"(this build reads version {MODEL_FORMAT_VERSION}); "
-            f"re-run `slidescreen train` to write a new model file")
+def load_model(path, topology: str, spec: GraphSpec):
+    """Load a model file of spec saved under the topology tag; returns
+    (net, meta).
 
-
-def _read_header(path, fh) -> tuple[dict, int]:
-    """The header line of an open model file as a JSON object, and its
-    length in bytes. A first line that is not JSON may open a multi-line
-    document written by an older build; the rest of the file is then
-    read only to name its version in the error."""
-    line = fh.readline()
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError is a ValueError
-        try:
-            older = json.loads((line + fh.read()).decode("utf-8"))
-        except ValueError:
-            older = None
-        if isinstance(older, dict):
-            _check_format(path, older)
-        raise ModelFormatError(
-            f"{path}: not a valid model file: header is not a line of UTF-8 JSON: {exc}"
-        ) from None
-    if not isinstance(header, dict):
-        raise ModelFormatError(f"{path}: not a valid model file: header is not a JSON object")
-    _check_format(path, header)
-    if not line.endswith(b"\n"):
-        raise ModelFormatError(f"{path}: header line has no newline, so no payload")
-    return header, len(line)
-
-
-def _width(value) -> int:
-    if type(value) is not int:
-        raise ValueError(f"layer width {value!r} is not an integer")
-    return value
-
-
-def load_model(path):
-    """Load a model file; returns (net, topology_tag, meta).
-
-    Only the header line is parsed. The payload's byte count is checked
-    against the spec before anything is allocated; the payload is then
-    read straight into net.values, of which every layer's weights and
-    biases are views.
+    Only the header line is read, at most MAX_HEADER_BYTES of it. Apart
+    from its meta, it must be the header save_model writes for spec and
+    topology, compared as canonical JSON text, so 4.0 or true is not 4.
+    The payload's byte count is checked against the spec before anything
+    is allocated; the payload is then read straight into net.values, of
+    which every layer's weights and biases are views.
     """
     path = Path(path)
+    expected = _header(spec, topology)
     with open(path, "rb") as fh:
-        header, header_bytes = _read_header(path, fh)
+        line = fh.readline(MAX_HEADER_BYTES)
         try:
-            spec = GraphSpec(
-                branches=tuple(
-                    BranchSpec(b["name"], _width(b["input_width"]),
-                               tuple(_width(w) for w in b["hidden"]))
-                    for b in header["spec"]["branches"]
-                ),
-                head_hidden=tuple(_width(w) for w in header["spec"]["head_hidden"]),
-            )
-            spec.validate()
-            found = [*header["activations"]["branches"], header["activations"]["head"]]
-            expected = [list(activations) for _, _, activations in spec.stacks()]
-            if found != expected:
-                raise ModelFormatError(
-                    f"{path}: layer activations per stack {found}, spec says {expected}")
-            topology = header["topology"]
-            meta = header["meta"]
-        except (KeyError, TypeError, ValueError, InvalidTopology) as exc:
-            raise ModelFormatError(f"{path}: malformed model header: {exc}") from None
+            header = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError
+            raise ModelFormatError(
+                f"{path}: not a valid model file: header is not a line of UTF-8 JSON: {exc}"
+            ) from None
+        if not isinstance(header, dict):
+            raise ModelFormatError(f"{path}: not a valid model file: header is not a JSON object")
+        if header.get("format") != MODEL_FORMAT:
+            raise ModelFormatError(f"{path}: unknown format {header.get('format')!r}")
+        if header.get("format_version") != MODEL_FORMAT_VERSION:
+            raise ModelFormatError(
+                f"{path}: unsupported model format version {header.get('format_version')!r} "
+                f"(this build reads version {MODEL_FORMAT_VERSION}); "
+                f"re-run `slidescreen train` to write a new model file")
+        if not line.endswith(b"\n"):
+            raise ModelFormatError(f"{path}: header line has no newline, so no payload")
+        for key in ("topology", "spec", "activations"):
+            found, want = (json.dumps(h.get(key), sort_keys=True) for h in (header, expected))
+            if found != want:
+                raise ModelFormatError(f"{path}: header {key} {found} is not {want}")
+        meta = header.get("meta")
+        if not isinstance(meta, dict):
+            raise ModelFormatError(f"{path}: header has no meta object")
 
         n_values = spec.n_parameters()
-        payload_bytes = os.fstat(fh.fileno()).st_size - header_bytes
+        payload_bytes = os.fstat(fh.fileno()).st_size - len(line)
         if payload_bytes != 8 * n_values:
             raise ModelFormatError(
                 f"{path}: payload holds {payload_bytes} bytes, spec needs {8 * n_values}")
@@ -579,4 +545,4 @@ def load_model(path):
         for i, layer in enumerate(layers):
             if not (np.isfinite(layer.weights).all() and np.isfinite(layer.biases).all()):
                 raise ModelFormatError(f"{path}: {what} layer {i} has non-finite parameters")
-    return net, topology, meta
+    return net, meta

@@ -300,7 +300,7 @@ class TestTrainPredict:
         capsys.readouterr()
         assert run("predict", "--model", model, "--slide", slide) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "version 3" in err[0] and "slidescreen train" in err[0]
+        assert len(err) == 1 and "not a line of UTF-8 JSON" in err[0]
 
     def test_model_with_other_inputs_is_io_error(self, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -313,7 +313,47 @@ class TestTrainPredict:
         capsys.readouterr()
         assert run("predict", "--model", model, "--slide", slide) == 2
         err = capsys.readouterr().err
-        assert "histogram" in err and "wide-and-deep inputs" in err
+        assert "histogram" in err and "header spec" in err
+
+    @pytest.mark.parametrize("spec,topology,key", [
+        (baselines.ANN_SPEC, widedeep.WIDEDEEP_TAG, "spec"),
+        (widedeep.widedeep_spec(), "ann-v1", "topology"),
+    ], ids=["ann-spec-tagged-widedeep", "widedeep-tagged-other"])
+    def test_model_not_saved_as_widedeep_is_io_error(self, tmp_path, capsys, spec, topology,
+                                                      key):
+        """A valid model file of another spec, or of the wide-and-deep spec
+        under another tag, exits 2 with one line naming the key that differs."""
+        model = tmp_path / "model.json"
+        netcore.save_model(netcore.init_network(spec, 0), model, topology)
+        slide = tmp_path / "s.csv"
+        slide.write_text("x,y,prob_malignant\n0,0,0.9\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("predict", "--model", model, "--slide", slide) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"slidescreen: {model}: header {key} ")
+
+    def test_model_without_newline_is_read_in_bounded_memory(self, tmp_path, capsys):
+        """Only a bounded prefix of a model file is read for its header: a
+        50 MiB file with no newline exits 2 within a 2 MiB traced peak."""
+        model = tmp_path / "model.json"
+        with open(model, "wb") as fh:
+            for _ in range(50):
+                fh.write(b"x" * 2**20)
+        slide = tmp_path / "s.csv"
+        slide.write_text("x,y,prob_malignant\n0,0,0.9\n", encoding="utf-8")
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run("predict", "--model", model, "--slide", slide)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2 * 2**20
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "not a line of UTF-8 JSON" in err[0]
 
     def test_train_records_loss_summary(self, dataset, tmp_path):
         for name in ("a.json", "b.json"):
@@ -582,6 +622,24 @@ def test_worker_error_exits_like_a_serial_one(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["extract", "cv", "compare"])
+def test_dead_worker_exits_like_a_failed_run(dataset, tmp_path, capsys, monkeypatch,
+                                             command):
+    """A pool worker that dies without raising (here by os._exit in a forked
+    worker) exits 1 with one stderr line, not a traceback of a broken pool."""
+    monkeypatch.setattr(features, "extract_features", lambda patches: os._exit(9))
+    argv = {"extract": ["extract", "--out", tmp_path / "f.csv"],
+            "cv": ["cv", "--model", "knn", "--k", 2, "--seed", 7, "--out", tmp_path / "out"],
+            "compare": ["compare", "--models", "knn", "--k", 2, "--seed", 7,
+                        "--out", tmp_path / "out"]}[command]
+    capsys.readouterr()
+    assert run(*argv, "--manifest", dataset, "--jobs", 2) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("slidescreen: pipeline failure: a worker process died: ")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "f.csv").exists()
+
+
 # One instance of every error class of the package, with the exit code that
 # main gives it, or None for the classes that cannot reach main.
 ERRORS = [
@@ -601,7 +659,8 @@ ERRORS = [
     (evaluation.SingleClassScores("AUC needs scores from both classes"), 1),
     (evaluation.EmptyEvaluation("confusion matrix is empty"), 1),
     (evaluation.NonFiniteScores("AnnClassifier fold 2: non-finite score"), 1),
-    (netcore.InvalidTopology("graph has no inputs"), None),  # load_model wraps it
+    (evaluation.WorkerDied("a worker process died: terminated abruptly"), 1),
+    (netcore.InvalidTopology("graph has no inputs"), None),  # only code-built specs reach it
     (netcore.ShapeMismatch("inputs disagree on batch size"), None),  # predict checks widths
     (synth.InvalidConfig("grid_extent must be >= 1"), None),  # synth raises a UsageError
 ]

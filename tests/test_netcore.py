@@ -384,8 +384,8 @@ class TestModelFile:
         before = forward(net, inputs)
         path = tmp_path / "model.json"
         save_model(net, path, "widedeep-v1", meta={"seed": 77})
-        loaded, topology, meta = load_model(path)
-        assert topology == "widedeep-v1"
+        loaded, meta = load_model(path, "widedeep-v1", spec)
+        assert loaded.spec == spec
         assert meta == {"seed": 77}
         assert parameter_sha256(loaded) == parameter_sha256(net)
         for p in loaded.parameter_arrays():
@@ -400,7 +400,7 @@ class TestModelFile:
         path = tmp_path / "model.json"
         net = init_network(small_widedeep_spec(width=6), 2)
         save_model(net, path, "widedeep-v1")
-        loaded, _, _ = load_model(path)
+        loaded, _ = load_model(path, "widedeep-v1", net.spec)
         for graph in (net, loaded):
             values = graph.values
             assert values.ndim == 1 and values.dtype == np.float64
@@ -438,17 +438,17 @@ class TestModelFile:
         path = tmp_path / "model.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ModelFormatError):
-            load_model(path)
+            load_model(path, "widedeep-v1", small_widedeep_spec())
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"format": "something-else"}', encoding="utf-8")
         with pytest.raises(ModelFormatError):
-            load_model(path)
+            load_model(path, "widedeep-v1", small_widedeep_spec())
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_model(tmp_path / "absent.json")
+            load_model(tmp_path / "absent.json", "widedeep-v1", small_widedeep_spec())
 
 
 class TestAtomicSave:
@@ -469,9 +469,10 @@ class TestAtomicSave:
 
 
 class TestModelFileAgainstSpec:
-    """A model file whose header disagrees with its own spec, whose
-    payload is not exactly what the spec needs, or that holds values no
-    training run can produce, is rejected on load."""
+    """A model file whose header is not the one save_model writes for
+    the spec it is loaded as, whose payload is not exactly what the spec
+    needs, or that holds values no training run can produce, is rejected
+    on load."""
 
     def saved_doc(self, tmp_path):
         self.net = init_network(small_widedeep_spec(width=4), 5)
@@ -482,7 +483,7 @@ class TestModelFileAgainstSpec:
     def assert_rejected(self, path, header, payload, match=None):
         write_model_file(path, header, payload)
         with pytest.raises(ModelFormatError, match=match):
-            load_model(path)
+            load_model(path, "widedeep-v1", self.net.spec)
 
     def plant(self, payload, array, index, value):
         """Overwrite one float64 of a parameter array in the payload."""
@@ -529,6 +530,15 @@ class TestModelFileAgainstSpec:
             edit(header["spec"])
             self.assert_rejected(path, header, payload)
 
+    @pytest.mark.parametrize("meta", ["absent", None, [], "seed"])
+    def test_header_without_meta_object_rejected(self, tmp_path, meta):
+        path, header, payload = self.saved_doc(tmp_path)
+        if meta == "absent":
+            del header["meta"]
+        else:
+            header["meta"] = meta
+        self.assert_rejected(path, header, payload, match="no meta object")
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_parameters_rejected(self, tmp_path, value):
         path, header, payload = self.saved_doc(tmp_path)
@@ -559,7 +569,7 @@ class TestModelFileAgainstSpec:
         monkeypatch.setattr(os, "fstat",
                             lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
         with pytest.raises(ModelFormatError, match="changed while"):
-            load_model(path)
+            load_model(path, "widedeep-v1", self.net.spec)
 
     def test_huge_spec_rejected_without_allocating(self, tmp_path):
         path, header, payload = self.saved_doc(tmp_path)
@@ -567,8 +577,8 @@ class TestModelFileAgainstSpec:
         write_model_file(path, header, payload)
         tracemalloc.start()
         try:
-            with pytest.raises(ModelFormatError, match="payload holds"):
-                load_model(path)
+            with pytest.raises(ModelFormatError, match="header spec"):
+                load_model(path, "widedeep-v1", self.net.spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -579,13 +589,13 @@ class TestModelFileAgainstSpec:
         line = json.dumps(header).encode("ascii").replace(b"widedeep-v1", b"wide\xffdeep")
         path.write_bytes(line + b"\n" + payload)
         with pytest.raises(ModelFormatError, match="UTF-8 JSON"):
-            load_model(path)
+            load_model(path, "widedeep-v1", self.net.spec)
 
     def test_header_without_newline_rejected(self, tmp_path):
         path, header, _ = self.saved_doc(tmp_path)
         path.write_bytes(json.dumps(header).encode("ascii"))
         with pytest.raises(ModelFormatError, match="no newline"):
-            load_model(path)
+            load_model(path, "widedeep-v1", self.net.spec)
 
     def test_wrong_format_tag_rejected(self, tmp_path):
         path, header, payload = self.saved_doc(tmp_path)
@@ -604,8 +614,8 @@ class TestModelFileAgainstSpec:
         path.write_text(version_3_document(init_network(small_widedeep_spec(), 3),
                                            "widedeep-v1"), encoding="utf-8")
         assert path.read_text(encoding="utf-8").startswith("{\n")
-        with pytest.raises(ModelFormatError, match="version 3.*slidescreen train"):
-            load_model(path)
+        with pytest.raises(ModelFormatError, match="not a line of UTF-8 JSON"):
+            load_model(path, "widedeep-v1", small_widedeep_spec())
 
 
 class TestLossSummary:

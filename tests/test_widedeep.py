@@ -8,6 +8,7 @@ from slidescreen.features import LSRL, MCC, MPH, MTR, N_FEATURES, extract_featur
 from slidescreen.ingest import MALIGNANT, NORMAL
 from slidescreen.netcore import (
     BranchSpec,
+    ModelFormatError,
     NotFitted,
     SingleClassDataset,
     TrainConfig,
@@ -241,6 +242,8 @@ class TestSerialization:
         before = predict_proba(net, X)
         path = tmp_path / "model.json"
         save_model(net, path, WIDEDEEP_TAG, meta={"seed": 15})
-        loaded, topology, _ = load_model(path)
-        assert topology == WIDEDEEP_TAG
+        loaded, meta = load_model(path, WIDEDEEP_TAG, widedeep_spec())
+        assert meta == {"seed": 15}
         np.testing.assert_array_equal(before, predict_proba(loaded, X))
+        with pytest.raises(ModelFormatError, match="header topology"):
+            load_model(path, "ann-v1", widedeep_spec())
