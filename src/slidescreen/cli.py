@@ -309,9 +309,9 @@ def cmd_heatmap(args) -> int:
                 f"exceeds {MAX_HEATMAP_CELLS} cells")
         grid = np.full(shape, np.nan)
         np.fmax.at(grid, (rows, cols), patches["prob_malignant"])
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        for line in grid:  # a row at a time: memory stays near the grid's own
-            fh.write(",".join("" if math.isnan(v) else repr(v) for v in line.tolist()) + "\n")
+    lines = (",".join("" if math.isnan(v) else repr(v) for v in row.tolist()) + "\n"
+             for row in grid)  # a row at a time: memory stays near the grid's own
+    ingest.replace_file(args.out, lines)
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import MALIGNANT, NORMAL, write_table
+from .ingest import MALIGNANT, NORMAL, replace_file, write_table
 from .seeding import derive_seed
 
 
@@ -302,9 +301,7 @@ def report_doc(report: EvaluationReport) -> dict:
 
 def write_json(doc, path) -> None:
     """Indented JSON with sorted keys and a final newline."""
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    replace_file(path, [json.dumps(doc, indent=1, sort_keys=True), "\n"])
 
 
 def write_report_json(report: EvaluationReport, path) -> None:

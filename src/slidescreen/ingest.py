@@ -13,7 +13,8 @@ stripped, must not be empty or hold a carriage return, and must be unique
 within its table.
 All files UTF-8 (other bytes are a MalformedRow); LF and CRLF line endings
 are both accepted; files are written with LF, numbers as their Python repr,
-and a cell holding a carriage return is refused.
+and a cell holding a carriage return is refused. Every output file of the
+package is written by replace_file.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import copyreg
 import csv
 import io
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -192,7 +194,9 @@ def load_manifest(path) -> tuple[ManifestEntry, ...]:
     """
     path = Path(path)
     entries = []
-    for _, slide_id, label, row in read_slide_rows(path, MANIFEST_HEADER):
+    for line_no, slide_id, label, row in read_slide_rows(path, MANIFEST_HEADER):
+        if not row[2].strip():  # else it would name the manifest's directory
+            raise MalformedRow(path, line_no, "empty predictions_path")
         pred_path = path.parent / row[2].strip()  # an absolute path replaces the base
         if not pred_path.is_file():
             raise MissingFile(pred_path)
@@ -282,6 +286,24 @@ def load_slide(entry: ManifestEntry) -> SlideRecord:
     return SlideRecord(entry.slide_id, entry.label, load_patches(entry.predictions_path))
 
 
+def replace_file(path, parts: Iterable) -> None:
+    """Write parts in order (a str as UTF-8, bytes or a contiguous array as
+    they are) to a new file beside path, then rename it over path. A write
+    that fails or is interrupted leaves the previous file as it was and no
+    partial file behind; a symlink at path is replaced, not written through."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            for part in parts:
+                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_table(path, header: Sequence[str], columns: Sequence) -> None:
     """Write a CSV table from its columns (one per header name, all of one
     length), UTF-8 with LF line ends: a 1-D numpy array's cells are the repr
@@ -299,11 +321,11 @@ def write_table(path, header: Sequence[str], columns: Sequence) -> None:
     # which csv.writer quotes, as it does a lone empty cell
     quote = (len(header) < 2 or '"' in text or text.count("\n") != len(rows)
              or text.count(",") != len(rows) * (len(header) - 1))
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        if quote:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-        else:
-            fh.write(text)
+    if quote:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        text = buffer.getvalue()
+    replace_file(path, [text])
 
 
 def write_patches(patches: np.ndarray, path) -> None:

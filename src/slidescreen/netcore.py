@@ -25,6 +25,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .ingest import replace_file
+
 RELU = "relu"
 SOFTMAX = "softmax"
 
@@ -471,23 +473,10 @@ def save_model(net: NetworkGraph, path, topology: str,
 
     The spec gives every array's shape, so the file holds no offsets.
     Reloading gives bit-identical parameters, so forward outputs are
-    reproduced exactly.
-
-    The file is written under a temporary name in the target directory
-    and renamed over the target, so a save that fails or is interrupted
-    leaves the previous file as it was and no partial file behind.
+    reproduced exactly. The file is written by ingest.replace_file.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            fh.write(json.dumps(_header(net.spec, topology, meta)).encode("ascii") + b"\n")
-            fh.write(np.ascontiguousarray(net.values, dtype="<f8"))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    replace_file(path, [json.dumps(_header(net.spec, topology, meta)).encode("ascii") + b"\n",
+                        np.ascontiguousarray(net.values, dtype="<f8")])
 
 
 def load_model(path, topology: str, spec: GraphSpec):

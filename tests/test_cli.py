@@ -534,6 +534,36 @@ def test_unusable_out_is_io_error_before_any_work(dataset, tmp_path, capsys,
     assert taken.read_text(encoding="utf-8") == "x,y,prob_malignant\n0,0,0.9\n"
 
 
+@pytest.mark.parametrize("command", ["extract", "synth-patches", "synth-manifest", "cv",
+                                     "heatmap"])
+def test_full_disk_keeps_previous_output(dataset, tmp_path, capsys, full_disk, command):
+    """A disk that fills during a write over a good output (in a patch CSV
+    or in the manifest for synth, in report.json for cv): the run exits 2
+    with one stderr line, and every file is as it was, with no temporary
+    file beside it."""
+    out, table = tmp_path / "out", tmp_path / "features.csv"
+    out.mkdir()
+    assert run("extract", "--manifest", dataset, "--out", table) == 0
+    argv = {
+        "extract": ["extract", "--manifest", dataset, "--out", out / "features.csv"],
+        "synth": ["synth", "--out", out, "--seed", 5, "--slides-per-label", 3, "--grid", 8],
+        "cv": ["cv", "--features", table, "--model", "knn", "--k", 3, "--seed", 7,
+               "--out", out],
+        "heatmap": ["heatmap", "--slide", load_manifest(dataset)[0].predictions_path,
+                    "--out", out / "grid.csv"],
+    }[command.split("-")[0]]
+    assert run(*argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    fits = {"synth-manifest": [name for name in before if name != "manifest.csv"],
+            "cv": ["report.csv"]}.get(command, [])  # the files written before the failing one
+    full_disk(out, sum(len(before[name]) for name in fits) + 10)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "No space left" in err[0]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_no_command_is_usage_error():
     assert main([]) == 64
 

@@ -105,6 +105,17 @@ def test_manifest_missing_prediction_file(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("cell", ["", "  "], ids=["empty", "blank"])
+def test_manifest_empty_predictions_path_reports_line(tmp_path, cell):
+    """An empty path would name the manifest's own directory: a missing
+    file there, where the manifest names no file."""
+    make_patch_file(tmp_path / "a.csv", [])
+    path = write(tmp_path / "m.csv",
+                 f"slide_id,label,predictions_path\ns1,malignant,a.csv\ns2,normal,{cell}\n")
+    with pytest.raises(MalformedRow, match=r"m\.csv:3: empty predictions_path$"):
+        load_manifest(path)
+
+
 def test_manifest_bad_label_reports_line(tmp_path):
     make_patch_file(tmp_path / "a.csv", [])
     path = write(

@@ -1,0 +1,83 @@
+"""List what the slidescreen commands write at small fixed configs: each
+command's exit code and stdout, then `sha256  path` for every file written.
+
+Two trees list the same iff their commands exit alike, print alike and
+write the same bytes, so comparing the listings of two src/ directories
+checks that a change keeps every output:
+
+    python3 tools/output_digests.py ../parent/src > parent.txt
+    python3 tools/output_digests.py src > change.txt
+    diff parent.txt change.txt
+
+Each command runs in a subprocess, with the given src/ first on sys.path
+and OPENBLAS_NUM_THREADS=1 (trained bits depend on the BLAS thread
+count), in a fresh temporary directory and with paths relative to it, so
+that no listing holds the directory's name. Needs only the standard
+library and the package's own dependencies.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RUN = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
+       "from slidescreen.cli import main; sys.exit(main(sys.argv[1:]))")
+FIT = ["--seed", "7", "--epochs", "20"]
+SLIDES = ["malignant_000", "normal_006"]
+COMMANDS = [
+    ["synth", "--out", "data", "--seed", "3", "--slides-per-label", "6", "--grid", "16"],
+    ["extract", "--manifest", "data/noisy.csv", "--out", "features.csv"],
+    ["extract", "--manifest", "data/noisy.csv", "--out", "features-jobs2.csv", "--jobs", "2"],
+    *(["cv", "--features", "features.csv", "--model", kind, "--k", "3", *FIT, "--out", f"cv-{kind}"]
+      for kind in ("widedeep", "ann", "svm", "rf", "knn")),
+    ["compare", "--features", "features.csv", "--k", "3", *FIT, "--jobs", "2", "--out", "compare"],
+    ["train", "--features", "features.csv", *FIT, "--out", "model.bin"],
+    *(["predict", "--model", "model.bin", "--slide", f"data/{slide}.csv"] for slide in SLIDES),
+    *(["heatmap", "--slide", f"data/{slide}.csv", "--out", f"heatmap-{slide}.csv"]
+      for slide in SLIDES),
+]
+
+
+def write_noisy_manifest(data: Path) -> None:
+    """synth's manifest with the label of its first slide of each class
+    swapped, and a comma in those two slides' ids. Without the swap every
+    classifier scores 100 % on synth's slides, so all five reports would be
+    the same file; the commas make the table writer quote."""
+    with open(data / "manifest.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    swapped = {"malignant": "normal", "normal": "malignant"}
+    for row in [next(row for row in rows if row[1] == label) for label in swapped]:
+        row[0], row[1] = f"{row[0]}, as {swapped[row[1]]}", swapped[row[1]]
+    with open(data / "noisy.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not (Path(argv[0]) / "slidescreen").is_dir():
+        print("usage: output_digests.py SRC_DIR (the directory that holds slidescreen/)",
+              file=sys.stderr)
+        return 64
+    src = Path(argv[0]).resolve()
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as work:
+        for command in COMMANDS:
+            done = subprocess.run([sys.executable, "-c", RUN, str(src), *command], cwd=work,
+                                  env=env, stdout=subprocess.PIPE, text=True)
+            print(f"$ slidescreen {' '.join(command)}\nexit {done.returncode}")
+            print(done.stdout, end="")
+            if command[0] == "synth":
+                write_noisy_manifest(Path(work) / "data")
+        for path in sorted(p for p in Path(work).rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(work).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
