@@ -81,9 +81,9 @@ class ProbabilityOutOfRange(IngestError):
         self.value = value
 
 
-class DuplicateSlideId(IngestError):
-    def __init__(self, slide_id: str):
-        super().__init__(f"duplicate slide_id {slide_id!r}")
+class DuplicateSlideId(MalformedRow):
+    def __init__(self, path, line_no: int, slide_id: str):
+        super().__init__(path, line_no, f"duplicate slide_id {slide_id!r}")
         self.slide_id = slide_id
 
 
@@ -179,7 +179,7 @@ def read_slide_rows(path, header: Sequence[str]):
         except ValueError as exc:
             raise MalformedRow(path, line_no, str(exc)) from None
         if slide_id in seen:
-            raise DuplicateSlideId(slide_id)
+            raise DuplicateSlideId(path, line_no, slide_id)
         seen.add(slide_id)
         yield line_no, slide_id, label, row
 

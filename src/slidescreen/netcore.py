@@ -6,9 +6,10 @@ The one building block is a stack of dense layers. Each named input
 feeds a branch, a stack of dense+ReLU layers; a branch with no layers
 passes its input straight on. The branch outputs are concatenated in
 declaration order and feed the head, a stack of dense+ReLU layers ending
-in a softmax over the N_CLASSES slide classes. Everything is plain
-float64 numpy; training is full-batch and bit-deterministic for a fixed
-(seed, data, config) triple at a fixed BLAS thread count.
+in a softmax over the N_CLASSES slide classes. The network computes in
+float32 (DTYPE), its inputs cast on entry; the features stay float64.
+Training is full-batch and bit-deterministic for a fixed (seed, data,
+config) triple at a fixed BLAS thread count.
 
 Softmax probabilities are ordered by class index: column 0 = normal,
 column 1 = malignant.
@@ -31,10 +32,11 @@ RELU = "relu"
 SOFTMAX = "softmax"
 
 MODEL_FORMAT = "slidescreen-model"
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 MAX_HEADER_BYTES = 2**16  # bytes a model file's header line may hold; a real one holds ~700
 
 N_CLASSES = 2
+DTYPE = np.dtype(np.float32)  # every network array's; model files store it little-endian
 
 
 class InvalidTopology(Exception):
@@ -119,7 +121,7 @@ class DenseLayer:
 @dataclass
 class NetworkGraph:
     """A network of spec's topology. values holds every parameter, in
-    parameter_arrays() order, in one C-contiguous float64 buffer; every
+    parameter_arrays() order, in one C-contiguous DTYPE buffer; every
     layer's weights and biases are views of it, so change them in place
     (layer.weights[:] = ..., *=), never by rebinding them."""
 
@@ -137,7 +139,7 @@ class NetworkGraph:
 
 
 def _graph_on(spec: GraphSpec, values: np.ndarray, shared: bool = False) -> NetworkGraph:
-    """The graph of spec whose layers are views of values, a flat float64
+    """The graph of spec whose layers are views of values, a flat DTYPE
     array of spec.n_parameters() elements: per layer in canonical order, the
     weights (out, in) row-major, then the biases. With shared, values needs
     only the largest layer's size, and every layer is a view of its start."""
@@ -168,12 +170,12 @@ class TrainConfig:
 def init_network(spec: GraphSpec, seed: int) -> NetworkGraph:
     """He-style uniform weights (bound sqrt(6/fan_in)), zero biases.
 
-    Layers are drawn in canonical order from one generator, so the same
-    seed always yields bit-identical parameters.
+    Layers are drawn in float64 in canonical order from one generator and
+    rounded to DTYPE, so the same seed always yields bit-identical parameters.
     """
     spec.validate()
     rng = np.random.default_rng(seed)
-    net = _graph_on(spec, np.zeros(spec.n_parameters()))
+    net = _graph_on(spec, np.zeros(spec.n_parameters(), DTYPE))
     for layer in net.layers():
         bound = np.sqrt(6.0 / layer.weights.shape[1])
         layer.weights[:] = rng.uniform(-bound, bound, size=layer.weights.shape)
@@ -204,7 +206,7 @@ def _check_inputs(net: NetworkGraph, inputs: Mapping[str, np.ndarray]) -> dict[s
     out = {}
     n_rows = None
     for name, width in widths.items():
-        arr = np.asarray(inputs[name], dtype=float)
+        arr = np.asarray(inputs[name], dtype=DTYPE)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2 or arr.shape[1] != width:
@@ -229,8 +231,8 @@ class Workspace:
     def __init__(self, spec: GraphSpec, n: int):
         stacks = [widths for _, widths, _ in spec.stacks()]
         self.n = n
-        self.outputs = [[np.empty((n, w)) for w in widths[1:]] for widths in stacks]
-        self.concat = np.empty((n, stacks[-1][0]))
+        self.outputs = [[np.empty((n, w), DTYPE) for w in widths[1:]] for widths in stacks]
+        self.concat = np.empty((n, stacks[-1][0]), DTYPE)
 
 
 def _stack_forward(layers: Sequence[DenseLayer], a: np.ndarray, outs: Sequence[np.ndarray]):
@@ -306,7 +308,7 @@ def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
         raise ShapeMismatch("label outside class range")
     adam, grad = (grad, grad.grad) if isinstance(grad, _Adam) else (None, grad)
     if grad is None:
-        grad = _graph_on(net.spec, np.empty(net.values.size))
+        grad = _graph_on(net.spec, np.empty_like(net.values))
     if work is None:
         work = Workspace(net.spec, n)
     elif work.n != n:
@@ -342,9 +344,7 @@ def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
-# elements; a block of an update's five arrays (the layer's values, m, v and
-# gradient, in _Adam.layers, and the scratch block it allocates) fits in L2
-_ADAM_BLOCK = 16384
+_ADAM_BLOCK = 16384  # elements; an update's five blocks (p, g, m, v, scratch) fit in L2
 
 
 class _Adam:
@@ -356,7 +356,7 @@ class _Adam:
 
     def __init__(self, net: NetworkGraph, learning_rate: float):
         sizes = [layer.weights.size + layer.biases.size for layer in net.layers()]
-        self.grad = _graph_on(net.spec, np.empty(max(sizes)), shared=True)
+        self.grad = _graph_on(net.spec, np.empty(max(sizes), DTYPE), shared=True)
         m, v = np.zeros_like(net.values), np.zeros_like(net.values)
         self.layers = [(net.values[e - n:e], self.grad.values[:n], m[e - n:e], v[e - n:e])
                        for n, e in zip(sizes, np.cumsum(sizes).tolist())]
@@ -369,12 +369,13 @@ class _Adam:
 
             m += (1 - BETA1) * (g - m)
             v += (1 - BETA2) * (g * g - v)
-            p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)
+            p -= alpha * m / (sqrt(v) + EPS)
 
-        so every bit of the result is the same."""
+        with the bias corrections folded into alpha (Kingma & Ba, §2), so
+        every bit of the result is the same."""
         p, g, m, v = self.layers[k]
-        lr, bc1, bc2 = self.lr, 1.0 - _BETA1 ** self.t, 1.0 - _BETA2 ** self.t
-        scratch = np.empty(min(_ADAM_BLOCK, p.size))
+        alpha = self.lr * math.sqrt(1.0 - _BETA2 ** self.t) / (1.0 - _BETA1 ** self.t)
+        scratch = np.empty(min(_ADAM_BLOCK, p.size), DTYPE)
         for start in range(0, p.size, _ADAM_BLOCK):
             end = start + _ADAM_BLOCK
             pb, gb, mb, vb = p[start:end], g[start:end], m[start:end], v[start:end]
@@ -386,10 +387,8 @@ class _Adam:
             gb -= mb
             gb *= 1.0 - _BETA1
             mb += gb
-            np.divide(mb, bc1, out=gb)
-            gb *= lr
-            np.divide(vb, bc2, out=s)
-            np.sqrt(s, out=s)
+            np.multiply(mb, alpha, out=gb)
+            np.sqrt(vb, out=s)
             s += _EPS
             gb /= s
             pb -= gb
@@ -468,7 +467,7 @@ def _header(spec: GraphSpec, topology: str, meta: dict | None = None) -> dict:
 def save_model(net: NetworkGraph, path, topology: str,
                meta: dict | None = None) -> None:
     """Write a model file: one line of ASCII JSON, the header (see _header),
-    then the payload, net.values as little-endian float64 (per layer:
+    then the payload, net.values as little-endian float32 (per layer:
     weights (out, in) row-major, then biases).
 
     The spec gives every array's shape, so the file holds no offsets.
@@ -476,7 +475,7 @@ def save_model(net: NetworkGraph, path, topology: str,
     reproduced exactly. The file is written by ingest.replace_file.
     """
     replace_file(path, [json.dumps(_header(net.spec, topology, meta)).encode("ascii") + b"\n",
-                        np.ascontiguousarray(net.values, dtype="<f8")])
+                        np.ascontiguousarray(net.values, dtype="<f4")])
 
 
 def load_model(path, topology: str, spec: GraphSpec):
@@ -519,15 +518,15 @@ def load_model(path, topology: str, spec: GraphSpec):
         if not isinstance(meta, dict):
             raise ModelFormatError(f"{path}: header has no meta object")
 
-        n_values = spec.n_parameters()
+        n_bytes = DTYPE.itemsize * spec.n_parameters()
         payload_bytes = os.fstat(fh.fileno()).st_size - len(line)
-        if payload_bytes != 8 * n_values:
+        if payload_bytes != n_bytes:
             raise ModelFormatError(
-                f"{path}: payload holds {payload_bytes} bytes, spec needs {8 * n_values}")
-        values = np.empty(n_values, dtype="<f8")
+                f"{path}: payload holds {payload_bytes} bytes, spec needs {n_bytes}")
+        values = np.empty(spec.n_parameters(), dtype="<f4")
         if fh.readinto(values) != payload_bytes or fh.read(1):
             raise ModelFormatError(f"{path}: file changed while it was read")
-    values = values.astype(np.float64, copy=False)  # a copy on big-endian hosts only
+    values = values.astype(DTYPE, copy=False)  # a copy on big-endian hosts only
 
     net = _graph_on(spec, values)
     for (what, _, _), layers in zip(spec.stacks(), [*net.branches, net.head]):

@@ -91,21 +91,41 @@ def pairwise_auc(scores, labels, positive=1):
     return doubled_wins / (2 * len(pos) * len(neg))
 
 
+def float64_copy(net):
+    """A NetworkGraph of net's spec whose parameters are new float64 copies
+    of net's (its values buffer is None)."""
+    from slidescreen.netcore import DenseLayer, NetworkGraph
+
+    def copy(layers):
+        return [DenseLayer(layer.weights.astype(np.float64), layer.biases.astype(np.float64),
+                           layer.activation) for layer in layers]
+
+    return NetworkGraph(net.spec, [copy(layers) for layers in net.branches], copy(net.head), None)
+
+
 def finite_difference_gradients(net, inputs, labels, step=1e-5):
-    """Central finite differences of the loss over every parameter entry."""
-    from slidescreen.netcore import loss_and_gradients
+    """Central finite differences of the loss over every parameter entry,
+    evaluated in float64: on a float64 copy of net's parameters and on the
+    inputs as net sees them, rounded to its dtype."""
+    wide = float64_copy(net)
+    dtype = net.parameter_arrays()[0].dtype
+    inputs = {name: np.asarray(x, dtype=dtype).astype(np.float64) for name, x in inputs.items()}
+    labels = np.asarray(labels, dtype=int)
+
+    def loss():
+        return _reference_loss(_reference_forward(wide, inputs)[-1], labels)
 
     grads = []
-    for param in net.parameter_arrays():
+    for param in wide.parameter_arrays():
         grad = np.zeros_like(param)
         flat_p = param.ravel()
         flat_g = grad.ravel()
         for idx in range(flat_p.size):
             orig = flat_p[idx]
             flat_p[idx] = orig + step
-            loss_plus, _ = loss_and_gradients(net, inputs, labels)
+            loss_plus = loss()
             flat_p[idx] = orig - step
-            loss_minus, _ = loss_and_gradients(net, inputs, labels)
+            loss_minus = loss()
             flat_p[idx] = orig
             flat_g[idx] = (loss_plus - loss_minus) / (2.0 * step)
         grads.append(grad)
@@ -179,12 +199,50 @@ def _reference_stack_backward(layers, caches, delta):
     return [g for pair in reversed(grads) for g in pair], delta
 
 
+def _reference_forward(net, inputs):
+    """The forward pass in the dtype of net's parameters, inputs cast to
+    it: (each branch's output, each branch's and the head's (input,
+    pre-activation) per layer, the class probabilities, the final
+    pre-activations)."""
+    dtype = net.parameter_arrays()[0].dtype
+    outputs, caches = [], []
+    for bspec, layers in zip(net.spec.branches, net.branches):
+        a = np.asarray(inputs[bspec.name], dtype=dtype)
+        cache = []
+        for layer in layers:
+            z = a @ layer.weights.T + layer.biases
+            cache.append((a, z))
+            a = np.maximum(z, 0.0)
+        outputs.append(a)
+        caches.append(cache)
+    a = np.concatenate(outputs, axis=1)
+    head_cache = []
+    for layer in net.head:
+        z = a @ layer.weights.T + layer.biases
+        head_cache.append((a, z))
+        if layer.activation == "relu":
+            a = np.maximum(z, 0.0)
+        else:
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            a = e / e.sum(axis=1, keepdims=True)
+    return outputs, caches, head_cache, a, z
+
+
+def _reference_loss(z, labels):
+    """Mean cross-entropy of the final pre-activations z."""
+    zmax = z.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    return float(np.mean(lse - z[np.arange(z.shape[0]), labels]))
+
+
 def reference_train(net, inputs, labels, epochs, learning_rate):
-    """Full-batch Adam on a netcore NetworkGraph with every intermediate a
-    new array: ReLU masks from the pre-activations, every layer's input
-    gradient, and Adam written as three whole-array expressions. Updates
-    the net's parameter arrays in place and returns the pre-update loss
-    of every epoch; a non-finite loss ends the trace and the training."""
+    """Full-batch Adam on a netcore NetworkGraph, in the dtype of its
+    parameters, with every intermediate a new array: ReLU masks from the
+    pre-activations, every layer's input gradient, and Adam written as
+    three whole-array expressions with the bias corrections folded into
+    the step size (Kingma & Ba, ICLR 2015, §2). Updates the net's
+    parameter arrays in place and returns the pre-update loss of every
+    epoch; a non-finite loss ends the trace and the training."""
     labels = np.asarray(labels, dtype=int)
     n = labels.size
     params = net.parameter_arrays()
@@ -194,29 +252,8 @@ def reference_train(net, inputs, labels, epochs, learning_rate):
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, epochs + 1):
-            outputs, caches = [], []
-            for bspec, layers in zip(net.spec.branches, net.branches):
-                a = np.asarray(inputs[bspec.name], dtype=float)
-                cache = []
-                for layer in layers:
-                    z = a @ layer.weights.T + layer.biases
-                    cache.append((a, z))
-                    a = np.maximum(z, 0.0)
-                outputs.append(a)
-                caches.append(cache)
-            a = np.concatenate(outputs, axis=1)
-            head_cache = []
-            for layer in net.head:
-                z = a @ layer.weights.T + layer.biases
-                head_cache.append((a, z))
-                if layer.activation == "relu":
-                    a = np.maximum(z, 0.0)
-                else:
-                    e = np.exp(z - z.max(axis=1, keepdims=True))
-                    a = e / e.sum(axis=1, keepdims=True)
-            zmax = z.max(axis=1, keepdims=True)
-            lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-            loss = float(np.mean(lse - z[np.arange(n), labels]))
+            outputs, caches, head_cache, a, z = _reference_forward(net, inputs)
+            loss = _reference_loss(z, labels)
             losses.append(loss)
             if not math.isfinite(loss):
                 break
@@ -233,12 +270,11 @@ def reference_train(net, inputs, labels, epochs, learning_rate):
                 grads += branch_grads
             grads += head_grads
 
-            bc1 = 1.0 - beta1 ** t
-            bc2 = 1.0 - beta2 ** t
+            alpha = learning_rate * math.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t)
             for p, g, mi, vi in zip(params, grads, m, v):
                 mi += (1.0 - beta1) * (g - mi)
                 vi += (1.0 - beta2) * (g * g - vi)
-                p -= learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+                p -= alpha * mi / (np.sqrt(vi) + eps)
     return losses
 
 

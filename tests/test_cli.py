@@ -259,13 +259,14 @@ class TestTrainPredict:
 
     def test_non_finite_probability_is_io_error(self, tmp_path, capsys):
         """A model whose forward pass overflows, here every head parameter
-        scaled by 1e200, exits 2 naming the model instead of calling the
-        slide normal; no numpy warning escapes (the suite makes a
-        RuntimeWarning an error)."""
+        scaled by 1e30 (finite in the float32 file, but three head layers
+        multiply it past float32's 3.4e38), exits 2 naming the model
+        instead of calling the slide normal; no numpy warning escapes (the
+        suite makes a RuntimeWarning an error)."""
         net = widedeep.build_widedeep(seed=0)
         for layer in net.head:
-            layer.weights *= 1e200
-            layer.biases *= 1e200
+            layer.weights *= 1e30
+            layer.biases *= 1e30
         model = tmp_path / "model.json"
         netcore.save_model(net, model, widedeep.WIDEDEEP_TAG)
         slide = tmp_path / "s.csv"
@@ -277,17 +278,26 @@ class TestTrainPredict:
         assert err == f"slidescreen: {model}: p(malignant) is nan for {slide}\n"
 
     def test_version_1_model_is_io_error(self, tmp_path, capsys):
+        self.assert_older_version_is_io_error(tmp_path, capsys, 1)
+
+    def test_version_4_float64_model_is_io_error(self, tmp_path, capsys):
+        self.assert_older_version_is_io_error(tmp_path, capsys, 4)
+
+    def assert_older_version_is_io_error(self, tmp_path, capsys, version):
+        """A model file of an older format version, with the float64
+        payload of version 4, exits 2 naming its version."""
         model = tmp_path / "model.json"
-        netcore.save_model(widedeep.build_widedeep(seed=0), model, widedeep.WIDEDEEP_TAG)
-        header, payload = split_model_file(model)
-        header["format_version"] = 1
-        write_model_file(model, header, payload)
+        net = widedeep.build_widedeep(seed=0)
+        netcore.save_model(net, model, widedeep.WIDEDEEP_TAG)
+        header, _ = split_model_file(model)
+        header["format_version"] = version
+        write_model_file(model, header, net.values.astype("<f8").tobytes())
         slide = tmp_path / "s.csv"
         slide.write_text("x,y,prob_malignant\n0,0,0.9\n", encoding="utf-8")
         capsys.readouterr()
         assert run("predict", "--model", model, "--slide", slide) == 2
         err = capsys.readouterr().err
-        assert "version 1" in err and "slidescreen train" in err
+        assert f"version {version}" in err and "slidescreen train" in err
 
     def test_version_3_document_is_io_error(self, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -679,7 +689,7 @@ ERRORS = [
     (ingest.MissingFile("gone.csv"), 2),
     (ingest.MalformedRow("s.csv", 3, "bad coordinates ['1.5', '2']"), 3),
     (ingest.ProbabilityOutOfRange("s.csv", 2, 1.5), 3),
-    (ingest.DuplicateSlideId("s1"), 3),
+    (ingest.DuplicateSlideId("m.csv", 3, "s1"), 3),
     (netcore.ModelFormatError("m.bin: not a valid model file"), 2),
     (netcore.EmptyDataset("training set is empty"), 1),
     (netcore.SingleClassDataset("training requires examples of both classes"), 1),

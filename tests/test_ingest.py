@@ -70,22 +70,22 @@ def test_manifest_two_rows(tmp_path):
 
 @pytest.mark.parametrize("table", ["manifest", "features"])
 @pytest.mark.parametrize("second_id, error, message", [
-    ("s1", DuplicateSlideId, "duplicate slide_id 's1'"),
-    (" s1 ", DuplicateSlideId, "duplicate slide_id 's1'"),
+    ("s1", DuplicateSlideId, ":3: duplicate slide_id 's1'"),
+    (" s1 ", DuplicateSlideId, ":3: duplicate slide_id 's1'"),
     ("", MalformedRow, ":3: empty slide_id"),
     (" \t", MalformedRow, ":3: empty slide_id"),
     ('"s\r2"', MalformedRow, ":3: slide_id 's\\r2' holds a carriage return"),
 ], ids=["duplicate", "padded-duplicate", "empty", "blank", "carriage-return"])
 def test_slide_id_rule(tmp_path, table, second_id, error, message):
     """Ids are stripped, must not be empty or hold a carriage return, and
-    must be unique."""
+    must be unique; each error names the file and line."""
     load, header, row = TABLES[table]
     make_patch_file(tmp_path / "a.csv", [])
     path = write(tmp_path / "t.csv", "\n".join(
         [",".join(header), row.format("s1"), row.format(second_id)]) + "\n")
     with pytest.raises(error) as err:
         load(path)
-    assert str(err.value).endswith(message)
+    assert str(err.value) == f"{path}{message}"
 
 
 def test_manifest_header_only(tmp_path):

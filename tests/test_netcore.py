@@ -14,6 +14,7 @@ import pytest
 from slidescreen import widedeep
 from slidescreen.features import N_FEATURES
 from slidescreen.netcore import (
+    DTYPE,
     BranchSpec,
     EmptyDataset,
     GraphSpec,
@@ -106,7 +107,8 @@ class TestForward:
         net = init_network(spec, 5)
         probs = forward(net, random_inputs(rng, spec, 16))
         assert probs.min() >= 0
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        # each float32 probability and their sum round: a few ulps of 1
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=4 * np.finfo(DTYPE).eps)
 
     def test_hand_computed_two_by_two(self):
         # single dense softmax layer: z = W x + b, probs = softmax(z)
@@ -117,7 +119,8 @@ class TestForward:
         x = np.array([[1.0, 1.0]])
         z0, z1 = 1.0 + 2.0 + 0.5, 3.0 - 1.0 - 0.5
         expected = np.exp([z0, z1]) / np.exp([z0, z1]).sum()
-        np.testing.assert_allclose(forward(net, {"x": x})[0], expected, atol=1e-15)
+        np.testing.assert_allclose(forward(net, {"x": x})[0], expected,
+                                   rtol=4 * np.finfo(DTYPE).eps, atol=0)
 
     def test_large_logits_stay_finite(self):
         spec = GraphSpec(branches=(BranchSpec("x", 1),), head_hidden=())
@@ -145,6 +148,9 @@ class TestGradients:
         assert all(np.isfinite(g).all() for g in grads)
 
     def test_matches_finite_differences(self):
+        # float32 gradients against float64 central differences: the three
+        # trials measured 2.5e-6, 7.5e-5 and 1.3e-6 (rounding of entries
+        # near the 1e-4 floor); dropping one ReLU mask gives errors of order 1
         rng = np.random.default_rng(2024)
         for trial in range(3):
             spec = small_widedeep_spec(width=5)
@@ -153,7 +159,7 @@ class TestGradients:
             labels = rng.integers(0, 2, size=4)
             _, analytic = loss_and_gradients(net, inputs, labels)
             numeric = finite_difference_gradients(net, inputs, labels)
-            assert max_relative_error(analytic, numeric) <= 1e-4
+            assert max_relative_error(analytic, numeric) <= 3e-4
 
     def test_duplicated_example_leaves_mean_gradient_unchanged(self):
         rng = np.random.default_rng(9)
@@ -219,7 +225,8 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("name", ["widedeep", "ann"])
     def test_step_in_a_workspace_allocates_no_batch_sized_array(self, name):
-        # one n x 300 float64 activation is 375 KiB at n = 160
+        # one n x 300 float32 activation is 187.5 KiB at n = 160; a step
+        # measured a 110 KiB peak (128 KiB with Adam's update)
         spec = TestTrainAgainstReference.SPECS[name]
         inputs, labels = TestTrainAgainstReference().data(name, 4, n=160)
         net, grad, work = init_network(spec, 4), init_network(spec, 5), Workspace(spec, 160)
@@ -230,7 +237,7 @@ class TestWorkspace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 192 * 2**10
+        assert peak < 160 * 2**10
 
 
 class TestTrain:
@@ -289,15 +296,16 @@ class TestTrain:
     @pytest.mark.parametrize("name", ["widedeep", "ann"])
     def test_fit_holds_one_layer_gradient_beside_parameters_and_moments(self, name):
         # the parameters, Adam's two moments, one layer's gradient and the
-        # workspace; 256 KiB covers the update's 128 KiB scratch block, the
-        # n x 300 bool ReLU masks and numpy's 64 KiB ufunc buffer. A
-        # model-sized gradient would add a fourth model-sized buffer.
+        # workspace; 256 KiB covers the update's 64 KiB scratch block, the
+        # n x 300 bool ReLU masks, numpy's 64 KiB ufunc buffer and the
+        # inputs cast to DTYPE. A model-sized gradient would add a fourth
+        # model-sized buffer.
         spec = TestTrainAgainstReference.SPECS[name]
         inputs, labels = TestTrainAgainstReference().data(name, 4, n=160)
         work = Workspace(spec, 160)
         largest = max(layer.weights.nbytes + layer.biases.nbytes
                       for layer in init_network(spec, 0).layers())
-        bound = (3 * 8 * spec.n_parameters() + largest + work.concat.nbytes
+        bound = (3 * DTYPE.itemsize * spec.n_parameters() + largest + work.concat.nbytes
                  + sum(a.nbytes for outs in work.outputs for a in outs) + 256 * 2**10)
         tracemalloc.start()
         try:
@@ -389,7 +397,7 @@ class TestModelFile:
         assert meta == {"seed": 77}
         assert parameter_sha256(loaded) == parameter_sha256(net)
         for p in loaded.parameter_arrays():
-            assert p.dtype == np.float64
+            assert p.dtype == DTYPE == np.float32
             assert p.flags.writeable and p.flags.c_contiguous and p.flags.aligned
         after = forward(loaded, inputs)
         np.testing.assert_array_equal(before, after)
@@ -403,16 +411,16 @@ class TestModelFile:
         loaded, _ = load_model(path, "widedeep-v1", net.spec)
         for graph in (net, loaded):
             values = graph.values
-            assert values.ndim == 1 and values.dtype == np.float64
+            assert values.ndim == 1 and values.dtype == DTYPE
             assert values.flags.c_contiguous and values.flags.writeable
             address, offset = values.__array_interface__["data"][0], 0
             for p in graph.parameter_arrays():
                 assert p.base is values
-                assert p.__array_interface__["data"][0] == address + 8 * offset
+                assert p.__array_interface__["data"][0] == address + 4 * offset
                 offset += p.size
             assert offset == values.size == graph.spec.n_parameters()
 
-    def test_layout_is_header_line_then_raw_float64(self, tmp_path):
+    def test_layout_is_header_line_then_raw_float32(self, tmp_path):
         net = init_network(small_widedeep_spec(width=3), 4)
         path = tmp_path / "model.json"
         save_model(net, path, "widedeep-v1", meta={"note": "café"})
@@ -420,14 +428,15 @@ class TestModelFile:
         header_line = raw[:raw.index(b"\n") + 1]
         assert header_line.isascii()
         assert json.loads(header_line)["meta"] == {"note": "café"}
-        expected = b"".join(p.astype("<f8").tobytes() for p in net.parameter_arrays())
-        assert raw[len(header_line):] == expected == net.values.astype("<f8").tobytes()
+        expected = b"".join(p.astype("<f4").tobytes() for p in net.parameter_arrays())
+        assert raw[len(header_line):] == expected == net.values.astype("<f4").tobytes()
+        assert len(raw) - len(header_line) == 4 * net.spec.n_parameters()
 
     def test_branch_without_hidden_layers_saved_as_empty_stack(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(init_network(small_widedeep_spec(), 1), path, "widedeep-v1")
         header, _ = split_model_file(path)
-        assert header["format_version"] == 4
+        assert header["format_version"] == 5
         assert set(header["spec"]) == {"branches", "head_hidden"}
         assert header["spec"]["branches"][-1] == {"name": "mtr", "input_width": 1,
                                                   "hidden": []}
@@ -481,13 +490,13 @@ class TestModelFileAgainstSpec:
             load_model(path, "widedeep-v1", self.net.spec)
 
     def plant(self, payload, array, index, value):
-        """Overwrite one float64 of a parameter array in the payload."""
+        """Overwrite one float32 of a parameter array in the payload."""
         offset = 0
         for p in self.net.parameter_arrays():
             if p is array:
                 break
             offset += p.size
-        values = np.frombuffer(payload, dtype="<f8").copy()
+        values = np.frombuffer(payload, dtype="<f4").copy()
         values[offset + index] = value
         return values.tobytes()
 
@@ -597,7 +606,7 @@ class TestModelFileAgainstSpec:
         header["format"] = "other-model"
         self.assert_rejected(path, header, payload, match="unknown format")
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_version_document_rejected(self, tmp_path, version):
         path, header, payload = self.saved_doc(tmp_path)
         header["format_version"] = version

@@ -94,16 +94,17 @@ class TestTopology:
         h = HIDDEN_WIDTH
         shapes = [(h, 10), (h, h), (h, 2), (h, h), (h, 5), (h, h),
                   (h, 3 * h + 1), (h, h), (2, h)]
+        # drawn in float64, then rounded to the network's float32
         rng = np.random.default_rng(5)
         expected = []
         for out_width, in_width in shapes:
             bound = np.sqrt(6.0 / in_width)
-            expected += [rng.uniform(-bound, bound, size=(out_width, in_width)),
-                         np.zeros(out_width)]
+            expected += [rng.uniform(-bound, bound, size=(out_width, in_width)).astype(np.float32),
+                         np.zeros(out_width, np.float32)]
         actual = build_widedeep(5).parameter_arrays()
         assert len(actual) == len(expected)
         for a, e in zip(actual, expected):
-            np.testing.assert_array_equal(a, e)
+            assert a.dtype == e.dtype and a.tobytes() == e.tobytes()
 
 
 class TestPrediction:
@@ -212,7 +213,8 @@ class TestRouting:
         l1 = logits_for(1.0, base_row)
         for t in (0.25, 0.5, 0.75):
             lt = logits_for(t, base_row)
-            assert lt == pytest.approx(l0 + t * (l1 - l0), abs=1e-9)
+            # the float32 probabilities near 0.5 put up to 7.5e-8 into lt
+            assert lt == pytest.approx(l0 + t * (l1 - l0), abs=2 * np.finfo(np.float32).eps)
             # and independent of every deep input
             assert logits_for(t, other_row) == pytest.approx(lt, abs=1e-12)
 

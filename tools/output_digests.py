@@ -7,7 +7,16 @@ checks that a change keeps every output:
 
     python3 tools/output_digests.py ../parent/src > parent.txt
     python3 tools/output_digests.py src > change.txt
-    diff parent.txt change.txt
+    python3 tools/output_digests.py --compare parent.txt change.txt tools/output_waivers.txt
+
+--compare prints every line that is in one listing only, marked waived
+when its name matches a pattern of the waiver file, and exits 1 if any is
+not waived. A line's name is `command CMD`, `exit CMD` or `stdout CMD`
+for a command's own line, exit code and output lines, with CMD the
+command after `slidescreen`, and `file PATH` for a digest line. The
+waiver file holds one fnmatch-style pattern over names per line; blank
+lines and lines starting with # are skipped. A change that alters an
+output on purpose names it there, and the next change empties the file.
 
 Each command runs in a subprocess, with the given src/ first on sys.path
 and OPENBLAS_NUM_THREADS=1 (trained bits depend on the BLAS thread
@@ -21,9 +30,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 RUN = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
@@ -58,9 +70,42 @@ def write_noisy_manifest(data: Path) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+def named_lines(listing: str) -> Counter:
+    """The (name, line) pairs of a listing, counted; see the module
+    docstring for the names."""
+    named, command = Counter(), ""
+    for line in listing.splitlines():
+        digest = re.fullmatch(r"[0-9a-f]{64}  (.*)", line)
+        if line.startswith("$ slidescreen "):
+            command = line[len("$ slidescreen "):]
+            named[f"command {command}", line] += 1
+        elif digest:
+            named[f"file {digest[1]}", line] += 1
+        else:
+            kind = "exit" if re.fullmatch(r"exit -?\d+", line) else "stdout"
+            named[f"{kind} {command}", line] += 1
+    return named
+
+
+def compare(parent: Path, change: Path, waivers: Path) -> int:
+    patterns = [line.strip() for line in waivers.read_text(encoding="utf-8").splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
+    a, b = (named_lines(p.read_text(encoding="utf-8")) for p in (parent, change))
+    unwaived = 0
+    for sign, only in (("-", a - b), ("+", b - a)):
+        for name, line in sorted(only):
+            waived = any(fnmatchcase(name, pattern) for pattern in patterns)
+            unwaived += not waived
+            print(f"{sign} {line}    [{name}: {'waived' if waived else 'NOT WAIVED'}]")
+    return 1 if unwaived else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 4 and argv[0] == "--compare":
+        return compare(*map(Path, argv[1:]))
     if len(argv) != 1 or not (Path(argv[0]) / "slidescreen").is_dir():
-        print("usage: output_digests.py SRC_DIR (the directory that holds slidescreen/)",
+        print("usage: output_digests.py SRC_DIR (the directory that holds slidescreen/)\n"
+              "       output_digests.py --compare PARENT_LISTING CHANGE_LISTING WAIVERS",
               file=sys.stderr)
         return 64
     src = Path(argv[0]).resolve()
