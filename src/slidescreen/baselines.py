@@ -41,7 +41,6 @@ from .netcore import (
     BranchSpec,
     GraphSpec,
     NetClassifier,
-    NotFitted,  # re-exported: every classifier kind raises it before fit
     TrainConfig,
     require_both_classes,
 )
@@ -71,7 +70,7 @@ class KnnClassifier:
 
     def predict_proba(self, X) -> np.ndarray:
         if self.X is None:
-            raise NotFitted("KNN queried before fit")
+            raise ValueError("KNN queried before fit")
         Q = np.asarray(X, dtype=float)
         k = min(KNN_NEIGHBOURS, self.X.shape[0])
         out = np.empty(Q.shape[0])
@@ -113,7 +112,7 @@ class LinearSvmClassifier:
 
     def margin(self, X) -> np.ndarray:
         if self.w is None:
-            raise NotFitted("SVM queried before fit")
+            raise ValueError("SVM queried before fit")
         return np.asarray(X, dtype=float) @ self.w + self.b
 
     def predict_proba(self, X) -> np.ndarray:
@@ -228,7 +227,7 @@ class RandomForestClassifier:
 
     def predict_proba(self, X) -> np.ndarray:
         if self.trees is None:
-            raise NotFitted("random forest queried before fit")
+            raise ValueError("random forest queried before fit")
         votes = np.array(
             [[_tree_vote(tree, x) for tree in self.trees] for x in X], dtype=float
         )

@@ -170,7 +170,7 @@ def cmd_synth(args) -> int:
     )
     try:
         cfg.validate()
-    except synth.InvalidConfig as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
     manifest_path = synth.write_dataset(synth.generate_dataset(cfg), args.out)
     print(f"wrote {2 * cfg.n_slides_per_label} slides to {manifest_path}")

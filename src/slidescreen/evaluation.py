@@ -15,28 +15,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import MALIGNANT, NORMAL, replace_file, write_table
+from .ingest import LABEL_NAMES, MALIGNANT, NORMAL, replace_file, write_table
 from .seeding import derive_seed
-
-
-class TooFewExamples(ValueError):
-    pass
-
-
-class SingleClassScores(ValueError):
-    pass
-
-
-class EmptyEvaluation(ValueError):
-    pass
-
-
-class NonFiniteScores(ValueError):
-    pass
-
-
-class WorkerDied(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -93,24 +73,27 @@ def stratified_kfold(items: Sequence[tuple[str, int]], k: int,
                      seed: int) -> FoldAssignment:
     """Partition (slide_id, label) pairs into K label-stratified folds.
 
-    Each label class is shuffled by the seed and dealt round-robin; the
-    dealing pointer continues across classes so fold sizes stay within one
-    of each other as well.
+    Each class, malignant then normal, is shuffled by the seed and dealt
+    round-robin; the dealing pointer continues across classes so fold
+    sizes stay within one of each other as well. Every class needs at
+    least k slides, so every fold holds both classes.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     ids = [sid for sid, _ in items]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate slide ids")
+    unknown = {lab for _, lab in items} - set(LABEL_NAMES)
+    if unknown:
+        raise ValueError(f"unknown label {min(unknown)!r}")
     rng = np.random.default_rng(seed)
     folds: list[list[str]] = [[] for _ in range(k)]
     pointer = 0
-    for label in sorted({lab for _, lab in items}, reverse=True):
+    for label in (MALIGNANT, NORMAL):
         members = [sid for sid, lab in items if lab == label]
         if len(members) < k:
-            raise TooFewExamples(
-                f"label {label} has {len(members)} members, need >= {k}"
-            )
+            raise ValueError(f"{LABEL_NAMES[label]} has {len(members)} slides, "
+                             f"need at least {k} (one per fold)")
         for idx in rng.permutation(len(members)):
             folds[pointer % k].append(members[idx])
             pointer += 1
@@ -142,7 +125,7 @@ def f1_score(precision: float, sensitivity: float) -> float:
 def compute_metrics(cm: ConfusionMatrix) -> MetricSet:
     """Accuracy, sensitivity, precision and F1 in percent (AUC left NaN)."""
     if cm.total == 0:
-        raise EmptyEvaluation("confusion matrix is empty")
+        raise ValueError("confusion matrix is empty")
     accuracy = 100.0 * (cm.tp + cm.tn) / cm.total
     sensitivity = 100.0 * cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn else math.nan
     precision = 100.0 * cm.tp / (cm.tp + cm.fp) if cm.tp + cm.fp else math.nan
@@ -162,7 +145,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     n_pos = int(np.count_nonzero(pos))
     n_neg = scores.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassScores("AUC needs scores from both classes")
+        raise ValueError("AUC needs scores from both classes")
     order = np.argsort(scores, kind="mergesort")
     sorted_scores = scores[order]
     rank2 = np.empty(scores.size, dtype=np.int64)
@@ -192,7 +175,7 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
     """fn applied to every item, results in input order; in up to jobs
     worker processes, never more than there are items (a forking pool
     starts all its workers at once), so fn and the items must pickle.
-    A worker that dies without raising, say from a signal, raises WorkerDied."""
+    A worker that dies without raising, say from a signal, raises ValueError."""
     workers = min(jobs, len(items))
     if workers > 1:  # serial runs never load the pool
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -200,7 +183,7 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(fn, items))
         except BrokenExecutor as exc:  # a BrokenProcessPool
-            raise WorkerDied(f"a worker process died: {exc}") from None
+            raise ValueError(f"a worker process died: {exc}") from None
     return [fn(item) for item in items]
 
 
@@ -211,7 +194,7 @@ def _run_fold(task):
     with np.errstate(over="ignore", invalid="ignore"):
         scores = np.asarray(clf.predict_proba(X_test), dtype=float)
     if not np.isfinite(scores).all():  # a NaN would count as normal and reach the AUC
-        raise NonFiniteScores(f"{type(clf).__name__} fold {fold}: non-finite score")
+        raise ValueError(f"{type(clf).__name__} fold {fold}: non-finite score")
     return scores
 
 

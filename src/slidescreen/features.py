@@ -262,9 +262,9 @@ def read_features_csv(path) -> list[tuple[str, int, np.ndarray]]:
     """Parse a feature CSV into (slide_id, label, feature row) triples.
 
     The header and the slide ids are checked as in a manifest. Raises
-    MissingFile, MalformedRow on bytes that are not UTF-8, a bad header,
-    column count, slide id, label or value (NaN and infinities included),
-    and DuplicateSlideId.
+    MissingFile, and MalformedRow on bytes that are not UTF-8, a bad
+    header, column count, slide id (a repeated one included), label or
+    value (NaN and infinities included).
     """
     rows = []
     for line_no, slide_id, label, row in read_slide_rows(path, FEATURE_HEADER):

@@ -71,22 +71,6 @@ class MalformedRow(IngestError):
         self.line_no = line_no
 
 
-class ProbabilityOutOfRange(IngestError):
-    def __init__(self, path, line_no: int, value: float):
-        super().__init__(
-            f"{path}:{line_no}: prob_malignant {value!r} outside [0, 1]"
-        )
-        self.path = Path(path)
-        self.line_no = line_no
-        self.value = value
-
-
-class DuplicateSlideId(MalformedRow):
-    def __init__(self, path, line_no: int, slide_id: str):
-        super().__init__(path, line_no, f"duplicate slide_id {slide_id!r}")
-        self.slide_id = slide_id
-
-
 @dataclass(frozen=True)
 class SlideRecord:
     """A slide's identifier, ground-truth label and patch predictions
@@ -164,8 +148,8 @@ def read_slide_rows(path, header: Sequence[str]):
     """read_rows of a table whose first two columns are slide_id and label:
     yields (line_no, slide_id, label, row) with the id stripped.
 
-    Raises MalformedRow on an empty id, an id with a carriage return or a
-    bad label, and DuplicateSlideId on an id seen before.
+    Raises MalformedRow on an empty id, an id with a carriage return, a
+    bad label or an id seen before.
     """
     seen: set[str] = set()
     for line_no, row in read_rows(path, header):
@@ -179,7 +163,7 @@ def read_slide_rows(path, header: Sequence[str]):
         except ValueError as exc:
             raise MalformedRow(path, line_no, str(exc)) from None
         if slide_id in seen:
-            raise DuplicateSlideId(path, line_no, slide_id)
+            raise MalformedRow(path, line_no, f"duplicate slide_id {slide_id!r}")
         seen.add(slide_id)
         yield line_no, slide_id, label, row
 
@@ -189,8 +173,7 @@ def load_manifest(path) -> tuple[ManifestEntry, ...]:
 
     Relative prediction paths are resolved against the manifest directory.
     Raises MissingFile if the manifest or any referenced prediction file
-    does not exist, DuplicateSlideId on repeated ids, MalformedRow on
-    anything unparsable.
+    does not exist, MalformedRow on repeated ids and anything unparsable.
     """
     path = Path(path)
     entries = []
@@ -224,9 +207,9 @@ def load_patches(path) -> np.ndarray:
     that fails a check is parsed row by row, so the fast reader changes
     neither what is accepted nor what an error says.
 
-    Raises MissingFile, MalformedRow (header, column count, a cell that
-    is not a number, negative or too large coordinates, bytes that are
-    not UTF-8) and ProbabilityOutOfRange (NaN included).
+    Raises MissingFile and MalformedRow (header, column count, a cell that
+    is not a number, negative or too large coordinates, a probability
+    outside [0, 1] or NaN, bytes that are not UTF-8).
     """
     path = Path(path)
     # np.loadtxt would decompress a file with one of these suffixes
@@ -277,7 +260,7 @@ def _load_patches_rows(path: Path) -> np.ndarray:
         except ValueError:
             raise MalformedRow(path, line_no, f"bad probability {row[2]!r}") from None
         if not 0.0 <= prob <= 1.0:  # also rejects NaN
-            raise ProbabilityOutOfRange(path, line_no, prob)
+            raise MalformedRow(path, line_no, f"prob_malignant {prob!r} outside [0, 1]")
         patches.append((x, y, prob))
     return np.array(patches, dtype=PATCH_DTYPE)
 

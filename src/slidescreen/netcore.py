@@ -39,31 +39,7 @@ N_CLASSES = 2
 DTYPE = np.dtype(np.float32)  # every network array's; model files store it little-endian
 
 
-class InvalidTopology(Exception):
-    pass
-
-
-class ShapeMismatch(Exception):
-    pass
-
-
-class EmptyDataset(ValueError):
-    pass
-
-
-class SingleClassDataset(ValueError):
-    pass
-
-
 class ModelFormatError(Exception):
-    pass
-
-
-class TrainingDiverged(ValueError):
-    pass
-
-
-class NotFitted(ValueError):
     pass
 
 
@@ -100,11 +76,11 @@ class GraphSpec:
     def validate(self) -> None:
         names = [b.name for b in self.branches]
         if len(set(names)) != len(names):
-            raise InvalidTopology(f"duplicate input names in {names}")
+            raise ValueError(f"duplicate input names in {names}")
         if not names:
-            raise InvalidTopology("graph has no inputs")
+            raise ValueError("graph has no inputs")
         if any(w < 1 for _, widths, _ in self.stacks() for w in widths):
-            raise InvalidTopology(f"non-positive layer width in {self}")
+            raise ValueError(f"non-positive layer width in {self}")
 
     def n_parameters(self) -> int:
         return sum(n_out * (n_in + 1) for _, widths, _ in self.stacks()
@@ -194,15 +170,13 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
         return np.maximum(z, 0.0, out=z)
     if activation == SOFTMAX:
         return _softmax(z)
-    raise InvalidTopology(f"unknown activation {activation!r}")
+    raise ValueError(f"unknown activation {activation!r}")
 
 
 def _check_inputs(net: NetworkGraph, inputs: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     widths = net.spec.input_widths()
     if set(inputs) != set(widths):
-        raise ShapeMismatch(
-            f"input names {sorted(inputs)} != expected {sorted(widths)}"
-        )
+        raise ValueError(f"input names {sorted(inputs)} != expected {sorted(widths)}")
     out = {}
     n_rows = None
     for name, width in widths.items():
@@ -210,13 +184,11 @@ def _check_inputs(net: NetworkGraph, inputs: Mapping[str, np.ndarray]) -> dict[s
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2 or arr.shape[1] != width:
-            raise ShapeMismatch(
-                f"input {name!r} has shape {arr.shape}, expected (*, {width})"
-            )
+            raise ValueError(f"input {name!r} has shape {arr.shape}, expected (*, {width})")
         if n_rows is None:
             n_rows = arr.shape[0]
         elif arr.shape[0] != n_rows:
-            raise ShapeMismatch("inputs disagree on batch size")
+            raise ValueError("inputs disagree on batch size")
         out[name] = arr
     return out
 
@@ -303,22 +275,22 @@ def loss_and_gradients(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
     labels = np.asarray(labels, dtype=int)
     n = next(iter(checked.values())).shape[0]
     if labels.shape != (n,):
-        raise ShapeMismatch(f"labels shape {labels.shape} != ({n},)")
+        raise ValueError(f"labels shape {labels.shape} != ({n},)")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= N_CLASSES:
-        raise ShapeMismatch("label outside class range")
+        raise ValueError("label outside class range")
     adam, grad = (grad, grad.grad) if isinstance(grad, _Adam) else (None, grad)
     if grad is None:
         grad = _graph_on(net.spec, np.empty_like(net.values))
     if work is None:
         work = Workspace(net.spec, n)
     elif work.n != n:
-        raise ShapeMismatch(f"workspace holds {work.n} rows, the batch has {n}")
+        raise ValueError(f"workspace holds {work.n} rows, the batch has {n}")
 
     probs = _forward(net, checked, work)
     loss = _log_softmax_loss(work.outputs[-1][-1], labels)
     if adam is not None:  # checked before any parameter changes
         if not math.isfinite(loss):
-            raise TrainingDiverged(f"loss is {loss} at epoch {adam.t + 1} "
+            raise ValueError(f"loss is {loss} at epoch {adam.t + 1} "
                                    f"(learning rate {adam.lr})")
         adam.t += 1
 
@@ -401,12 +373,12 @@ def train(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
     Returns (net, loss_trace); the trace records the pre-update loss of
     every epoch. The graph is mutated in place. Besides the parameters, a
     fit holds Adam's two moments, one layer's gradient and one Workspace.
-    Raises TrainingDiverged at the first non-finite loss, before that epoch
+    Raises ValueError at the first non-finite loss, before that epoch
     changes a parameter, and without a numpy warning for the overflow.
     """
     labels = np.asarray(labels, dtype=int)
     if labels.size == 0:
-        raise EmptyDataset("training set is empty")
+        raise ValueError("training set is empty")
     adam, work = _Adam(net, config.learning_rate), Workspace(net.spec, labels.size)
     with np.errstate(over="ignore", invalid="ignore"):
         return net, [loss_and_gradients(net, inputs, labels, adam, work)[0]
@@ -414,9 +386,9 @@ def train(net: NetworkGraph, inputs: Mapping[str, np.ndarray],
 
 
 def require_both_classes(labels: np.ndarray) -> None:
-    """Raise SingleClassDataset unless every class index occurs in labels."""
+    """Raise ValueError unless every class index occurs in labels."""
     if not set(range(N_CLASSES)) <= set(labels.tolist()):
-        raise SingleClassDataset("training requires examples of both classes")
+        raise ValueError("training requires examples of both classes")
 
 
 class NetClassifier:
@@ -447,7 +419,7 @@ class NetClassifier:
     def predict_proba(self, X) -> np.ndarray:
         """Probability of class 1 (malignant) per row."""
         if self.net is None:
-            raise NotFitted(f"{type(self).__name__} queried before fit")
+            raise ValueError(f"{type(self).__name__} queried before fit")
         return forward(self.net, self.route(X))[:, 1]
 
 

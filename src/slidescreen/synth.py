@@ -29,10 +29,6 @@ PATCH_SPACING = 100  # px between adjacent patch centers
 NOISE_CONFIDENCE = (2.0, 2.0)  # beta parameters of a normal slide's false positives
 
 
-class InvalidConfig(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     n_slides_per_label: int = 100
@@ -47,20 +43,20 @@ class SynthConfig:
 
     def validate(self) -> None:
         if self.n_slides_per_label < 1:
-            raise InvalidConfig("n_slides_per_label must be >= 1")
+            raise ValueError("n_slides_per_label must be >= 1")
         if self.grid_extent < 1:
-            raise InvalidConfig("grid_extent must be >= 1")
+            raise ValueError("grid_extent must be >= 1")
         lo, hi = self.blob_count_range
         if not (1 <= lo <= hi):
-            raise InvalidConfig(f"bad blob_count_range {self.blob_count_range}")
+            raise ValueError(f"bad blob_count_range {self.blob_count_range}")
         rlo, rhi = self.blob_radius_range
         if not (0 < rlo <= rhi):
-            raise InvalidConfig(f"bad blob_radius_range {self.blob_radius_range}")
+            raise ValueError(f"bad blob_radius_range {self.blob_radius_range}")
         if not 0.0 <= self.noise_rate <= 1.0:
-            raise InvalidConfig(f"noise_rate {self.noise_rate} outside [0, 1]")
+            raise ValueError(f"noise_rate {self.noise_rate} outside [0, 1]")
         a, b = self.malignant_confidence
         if a <= 0 or b <= 0:
-            raise InvalidConfig("beta parameters must be positive")
+            raise ValueError("beta parameters must be positive")
 
 
 def _slide_rng(cfg: SynthConfig, index: int) -> np.random.Generator:

@@ -14,7 +14,6 @@ from slidescreen.baselines import (
     AnnClassifier,
     KnnClassifier,
     LinearSvmClassifier,
-    NotFitted,
     RandomForestClassifier,
     classifier_factory,
     run_comparison,
@@ -28,7 +27,6 @@ from slidescreen.netcore import (
     BranchSpec,
     GraphSpec,
     NetClassifier,
-    SingleClassDataset,
     TrainConfig,
     init_network,
     train,
@@ -87,7 +85,7 @@ class TestKnn:
             assert got == want
 
     def test_unfitted_rejected(self):
-        with pytest.raises(NotFitted):
+        with pytest.raises(ValueError, match="^KNN queried before fit$"):
             KnnClassifier().predict_proba([])
 
     def test_empty_training_set_rejected(self):
@@ -122,7 +120,7 @@ class TestLinearSvm:
     def test_single_class_rejected(self):
         rng = np.random.default_rng(6)
         X = np.array([random_row(rng) for _ in range(4)])
-        with pytest.raises(SingleClassDataset):
+        with pytest.raises(ValueError, match="^training requires examples of both classes$"):
             LinearSvmClassifier().fit(X, [MALIGNANT] * 4)
 
 
@@ -160,9 +158,9 @@ class TestRandomForest:
 
     def test_unfitted_and_single_class_rejected(self):
         rng = np.random.default_rng(11)
-        with pytest.raises(NotFitted):
+        with pytest.raises(ValueError, match="^random forest queried before fit$"):
             RandomForestClassifier().predict_proba(random_row(rng)[None, :])
-        with pytest.raises(SingleClassDataset):
+        with pytest.raises(ValueError, match="^training requires examples of both classes$"):
             RandomForestClassifier().fit(np.tile(random_row(rng), (3, 1)), [NORMAL] * 3)
 
 
@@ -176,7 +174,7 @@ class TestAnn:
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(13)
-        with pytest.raises(SingleClassDataset):
+        with pytest.raises(ValueError, match="^training requires examples of both classes$"):
             AnnClassifier(TrainConfig(epochs=1)).fit(
                 np.tile(random_row(rng), (3, 1)), [MALIGNANT] * 3)
 
@@ -185,7 +183,7 @@ class TestAnn:
         X, labels = separable_dataset(rng, n_per_class=5)
         config = TrainConfig(epochs=4, learning_rate=1e-2, seed=99)
         clf = AnnClassifier(config)
-        with pytest.raises(NotFitted):
+        with pytest.raises(ValueError, match="^AnnClassifier queried before fit$"):
             clf.predict_proba(X)
         clf.fit(X, labels, seed=15)
         # the adapter is init_network at the fit seed then train, nothing more

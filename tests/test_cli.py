@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import slidescreen
-from slidescreen import baselines, cli, evaluation, features, ingest, netcore, synth, widedeep
+from slidescreen import baselines, cli, features, ingest, netcore, widedeep
+from slidescreen.baselines import CLASSIFIER_KINDS
 from slidescreen.cli import main
 from slidescreen.features import extract_features, read_features_csv
 from slidescreen.ingest import load_manifest, load_slide
@@ -194,6 +195,51 @@ class TestFeatureCsvBoundary:
         assert len(err) == 1 and message in err[0]
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "model.json").exists()
+
+
+class TestOneClassTable:
+    """A feature table that lacks a class is one fault, found before any
+    fit: cv of every kind and compare exit 1 with the same stderr line,
+    which names the class that has too few slides for --k."""
+
+    # table -> its one stderr line at --k 3
+    TABLES = {
+        "malignant-only": "normal has 0 slides, need at least 3 (one per fold)",
+        "header-only": "malignant has 0 slides, need at least 3 (one per fold)",
+    }
+
+    @pytest.fixture()
+    def table(self, dataset, tmp_path, request):
+        feats = tmp_path / "features.csv"
+        assert run("extract", "--manifest", dataset, "--out", feats) == 0
+        header, *rows = feats.read_text(encoding="utf-8").splitlines()
+        if request.param == "header-only":
+            rows = []
+        feats.write_text("\n".join([header] + [r for r in rows if ",malignant," in r]) + "\n",
+                         encoding="utf-8")
+        return feats, request.param
+
+    @pytest.mark.parametrize("table", sorted(TABLES), indirect=True)
+    @pytest.mark.parametrize("argv", [*(["cv", "--model", kind] for kind in CLASSIFIER_KINDS),
+                                      ["compare"]], ids=" ".join)
+    def test_every_kind_fails_alike(self, table, tmp_path, capsys, argv):
+        feats, name = table
+        capsys.readouterr()
+        assert run(*argv, "--features", feats, "--k", 3, "--seed", 7, "--epochs", 2,
+                   "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err.splitlines() == \
+            [f"slidescreen: pipeline failure: {self.TABLES[name]}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("table", sorted(TABLES), indirect=True)
+    def test_train_needs_both_classes(self, table, tmp_path, capsys):
+        feats, _ = table
+        capsys.readouterr()
+        assert run("train", "--features", feats, "--seed", 7, "--epochs", 2,
+                   "--out", tmp_path / "model.bin") == 1
+        assert capsys.readouterr().err.splitlines() == \
+            ["slidescreen: pipeline failure: training requires examples of both classes"]
+        assert not (tmp_path / "model.bin").exists()
 
 
 class TestCompareCommand:
@@ -680,34 +726,32 @@ def test_dead_worker_exits_like_a_failed_run(dataset, tmp_path, capsys, monkeypa
     assert not (tmp_path / "out").exists() and not (tmp_path / "f.csv").exists()
 
 
-# One instance of every error class of the package, with the exit code that
-# main gives it, or None for the classes that cannot reach main.
-ERRORS = [
-    (cli.UsageError("--models names knn more than once"), 64),
-    (cli.GridTooLarge("s.csv: heatmap grid of 9 x 9 cells exceeds 4 cells"), 3),
-    (ingest.IngestError("s.csv: unreadable"), 3),
-    (ingest.MissingFile("gone.csv"), 2),
-    (ingest.MalformedRow("s.csv", 3, "bad coordinates ['1.5', '2']"), 3),
-    (ingest.ProbabilityOutOfRange("s.csv", 2, 1.5), 3),
-    (ingest.DuplicateSlideId("m.csv", 3, "s1"), 3),
-    (netcore.ModelFormatError("m.bin: not a valid model file"), 2),
-    (netcore.EmptyDataset("training set is empty"), 1),
-    (netcore.SingleClassDataset("training requires examples of both classes"), 1),
-    (netcore.TrainingDiverged("loss is nan at epoch 3"), 1),
-    (netcore.NotFitted("KNN queried before fit"), 1),
-    (evaluation.TooFewExamples("class 1 has 2 examples, fewer than k=3"), 1),
-    (evaluation.SingleClassScores("AUC needs scores from both classes"), 1),
-    (evaluation.EmptyEvaluation("confusion matrix is empty"), 1),
-    (evaluation.NonFiniteScores("AnnClassifier fold 2: non-finite score"), 1),
-    (evaluation.WorkerDied("a worker process died: terminated abruptly"), 1),
-    (netcore.InvalidTopology("graph has no inputs"), None),  # only code-built specs reach it
-    (netcore.ShapeMismatch("inputs disagree on batch size"), None),  # predict checks widths
-    (synth.InvalidConfig("grid_extent must be >= 1"), None),  # synth raises a UsageError
-]
-
-
-def error_id(value):
-    return type(value).__name__ if isinstance(value, Exception) else None
+# One instance of every error class of the package, then of the faults that
+# it raises as a ValueError or a MalformedRow, keyed by class or fault, each
+# with the exit code that main gives it, or None where it cannot reach main.
+ERRORS = {
+    "UsageError": (cli.UsageError("--models names knn more than once"), 64),
+    "GridTooLarge": (cli.GridTooLarge("s.csv: heatmap grid of 9 x 9 cells exceeds 4 cells"), 3),
+    "IngestError": (ingest.IngestError("s.csv: unreadable"), 3),
+    "MissingFile": (ingest.MissingFile("gone.csv"), 2),
+    "MalformedRow": (ingest.MalformedRow("s.csv", 3, "bad coordinates ['1.5', '2']"), 3),
+    "ModelFormatError": (netcore.ModelFormatError("m.bin: not a valid model file"), 2),
+    "ProbabilityOutOfRange": (
+        ingest.MalformedRow("s.csv", 2, "prob_malignant 1.5 outside [0, 1]"), 3),
+    "DuplicateSlideId": (ingest.MalformedRow("m.csv", 3, "duplicate slide_id 's1'"), 3),
+    "EmptyDataset": (ValueError("training set is empty"), 1),
+    "SingleClassDataset": (ValueError("training requires examples of both classes"), 1),
+    "TrainingDiverged": (ValueError("loss is nan at epoch 3"), 1),
+    "NotFitted": (ValueError("KNN queried before fit"), 1),
+    "TooFewExamples": (ValueError("normal has 2 slides, need at least 3 (one per fold)"), 1),
+    "SingleClassScores": (ValueError("AUC needs scores from both classes"), 1),
+    "EmptyEvaluation": (ValueError("confusion matrix is empty"), 1),
+    "NonFiniteScores": (ValueError("AnnClassifier fold 2: non-finite score"), 1),
+    "WorkerDied": (ValueError("a worker process died: terminated abruptly"), 1),
+    "InvalidTopology": (ValueError("graph has no inputs"), None),  # only code-built specs reach it
+    "ShapeMismatch": (ValueError("inputs disagree on batch size"), None),  # predict checks widths
+    "InvalidConfig": (ValueError("grid_extent must be >= 1"), None),  # synth raises a UsageError
+}
 
 
 def test_error_table_holds_every_error_class():
@@ -719,11 +763,13 @@ def test_error_table_holds_every_error_class():
         found.update(obj for obj in vars(module).values()
                      if isinstance(obj, type) and issubclass(obj, Exception)
                      and obj.__module__ == module.__name__)
-    assert sorted(type(error).__name__ for error, _ in ERRORS) == \
-        sorted(cls.__name__ for cls in found)
+    assert {type(ERRORS[cls.__name__][0]) for cls in found} == found
+    assert {type(error) for error, _ in ERRORS.values()} == found | {ValueError}
 
 
-@pytest.mark.parametrize("error,code", [e for e in ERRORS if e[1] is not None], ids=error_id)
+@pytest.mark.parametrize("error,code", [
+    pytest.param(error, code, id=f"{name}-{code}")
+    for name, (error, code) in ERRORS.items() if code is not None])
 def test_main_gives_each_error_class_its_exit_code(monkeypatch, capsys, error, code):
     def fail(args):
         raise error
@@ -734,7 +780,7 @@ def test_main_gives_each_error_class_its_exit_code(monkeypatch, capsys, error, c
     assert capsys.readouterr().err == f"slidescreen: {kind[code]}{error}\n"
 
 
-@pytest.mark.parametrize("error", [error for error, _ in ERRORS], ids=error_id)
+@pytest.mark.parametrize("error", [error for error, _ in ERRORS.values()], ids=list(ERRORS))
 def test_error_survives_pickling(error):
     """A worker of the process pool sends its error back pickled."""
     back = pickle.loads(pickle.dumps(error))

@@ -10,12 +10,8 @@ import pytest
 from slidescreen import evaluation
 from slidescreen.evaluation import (
     ConfusionMatrix,
-    EmptyEvaluation,
     LabeledExample,
     MetricSet,
-    NonFiniteScores,
-    SingleClassScores,
-    TooFewExamples,
     compute_metrics,
     confusion_matrix,
     cross_validate,
@@ -66,8 +62,36 @@ class TestStratifiedKfold:
         assert stratified_kfold(items, 4, 7) != stratified_kfold(items, 4, 8)
 
     def test_too_few_examples(self):
-        with pytest.raises(TooFewExamples):
+        with pytest.raises(ValueError,
+                           match=r"^malignant has 2 slides, need at least 3 \(one per fold\)$"):
             stratified_kfold(make_items(2, 10), 3, seed=0)
+
+    @pytest.mark.parametrize("n_malignant, n_normal, absent", [
+        (6, 0, "normal"), (0, 6, "malignant"), (0, 0, "malignant"),
+    ], ids=["no-normal", "no-malignant", "no-slides"])
+    def test_absent_class_rejected(self, n_malignant, n_normal, absent):
+        """A class with no slides fails like one with too few, naming the
+        class; malignant is checked first."""
+        with pytest.raises(ValueError,
+                           match=rf"^{absent} has 0 slides, need at least 3 \(one per fold\)$"):
+            stratified_kfold(make_items(n_malignant, n_normal), 3, seed=0)
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(ValueError, match="^unknown label 2$"):
+            stratified_kfold(make_items(5, 5) + [("x", 2)], 3, seed=0)
+
+    def test_malignant_dealt_before_normal(self):
+        """Malignant ids, in input order, are shuffled and dealt round-robin
+        first, then the normal ids from where the pointer stopped, whatever
+        the order of the input."""
+        items = make_items(4, 5)[::-1]
+        rng = np.random.default_rng(11)
+        dealt = []
+        for label in (MALIGNANT, NORMAL):
+            ids = [sid for sid, lab in items if lab == label]
+            dealt += [ids[i] for i in rng.permutation(len(ids))]
+        assert stratified_kfold(items, 3, seed=11).folds == \
+            tuple(tuple(dealt[f::3]) for f in range(3))
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -110,7 +134,7 @@ class TestMetrics:
         assert no_pos.accuracy == 100.0
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(EmptyEvaluation):
+        with pytest.raises(ValueError, match="^confusion matrix is empty$"):
             compute_metrics(ConfusionMatrix(0, 0, 0, 0))
 
     def test_nan_excluded_from_average(self):
@@ -169,7 +193,7 @@ class TestRocAuc:
             1.0 - roc_auc(scores, labels), abs=1e-15)
 
     def test_single_class_rejected(self):
-        with pytest.raises(SingleClassScores):
+        with pytest.raises(ValueError, match="^AUC needs scores from both classes$"):
             roc_auc([0.1, 0.2], [1, 1])
 
 
@@ -254,7 +278,7 @@ class TestCrossValidate:
         """A NaN score would count as normal and reach the AUC; it fails
         the run instead, naming the classifier and the fold, and numpy's
         warnings stay quiet (tier-1 turns a RuntimeWarning into an error)."""
-        with pytest.raises(NonFiniteScores, match="^OverflowingClassifier fold 1: "):
+        with pytest.raises(ValueError, match="^OverflowingClassifier fold 1: non-finite score$"):
             cross_validate(mtr_dataset(), OverflowingClassifier, 3, seed=5, jobs=jobs)
 
     def test_average_is_mean_of_folds(self):

@@ -21,10 +21,8 @@ from slidescreen.ingest import (
     PATCH_DTYPE,
     PATCH_HEADER,
     _SCAN_BYTES,
-    DuplicateSlideId,
     MalformedRow,
     MissingFile,
-    ProbabilityOutOfRange,
     _load_patches_rows,
     load_manifest,
     load_patches,
@@ -70,8 +68,8 @@ def test_manifest_two_rows(tmp_path):
 
 @pytest.mark.parametrize("table", ["manifest", "features"])
 @pytest.mark.parametrize("second_id, error, message", [
-    ("s1", DuplicateSlideId, ":3: duplicate slide_id 's1'"),
-    (" s1 ", DuplicateSlideId, ":3: duplicate slide_id 's1'"),
+    ("s1", MalformedRow, ":3: duplicate slide_id 's1'"),
+    (" s1 ", MalformedRow, ":3: duplicate slide_id 's1'"),
     ("", MalformedRow, ":3: empty slide_id"),
     (" \t", MalformedRow, ":3: empty slide_id"),
     ('"s\r2"', MalformedRow, ":3: slide_id 's\\r2' holds a carriage return"),
@@ -170,14 +168,14 @@ def test_load_slide_three_rows(tmp_path):
 
 def test_probability_out_of_range(tmp_path):
     path = make_patch_file(tmp_path / "a.csv", [(0, 0, 1.2)])
-    with pytest.raises(ProbabilityOutOfRange) as err:
+    with pytest.raises(MalformedRow, match=r":2: prob_malignant 1\.2 outside \[0, 1\]$") as err:
         load_patches(path)
     assert err.value.line_no == 2
 
 
 def test_probability_nan_rejected(tmp_path):
     path = make_patch_file(tmp_path / "a.csv", [(0, 0, "nan")])
-    with pytest.raises(ProbabilityOutOfRange):
+    with pytest.raises(MalformedRow, match=r":2: prob_malignant nan outside \[0, 1\]$"):
         load_patches(path)
 
 
@@ -216,7 +214,7 @@ def test_late_nan_reports_its_line_after_blank_crlf_lines(tmp_path):
     lines += ["", "", "7,7,nan", "8,8,0.5"]
     path = tmp_path / "a.csv"
     path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
-    with pytest.raises(ProbabilityOutOfRange) as err:
+    with pytest.raises(MalformedRow) as err:
         load_patches(path)
     assert err.value.line_no == 504
     assert str(err.value) == f"{path}:504: prob_malignant nan outside [0, 1]"
@@ -322,7 +320,7 @@ def fast_path_outcome(path):
     def outcome(load):
         try:
             return load(path).tobytes()
-        except (MalformedRow, ProbabilityOutOfRange) as exc:
+        except MalformedRow as exc:
             return type(exc), str(exc), exc.line_no
 
     fast = outcome(load_patches)

@@ -16,14 +16,10 @@ from slidescreen.features import N_FEATURES
 from slidescreen.netcore import (
     DTYPE,
     BranchSpec,
-    EmptyDataset,
     GraphSpec,
-    InvalidTopology,
     ModelFormatError,
     NetClassifier,
-    ShapeMismatch,
     TrainConfig,
-    TrainingDiverged,
     Workspace,
     forward,
     init_network,
@@ -85,9 +81,9 @@ class TestInit:
             assert (np.abs(layer.weights) <= bound).all()
 
     def test_invalid_topology(self):
-        with pytest.raises(InvalidTopology):
+        with pytest.raises(ValueError, match="^non-positive layer width in "):
             init_network(GraphSpec(branches=(BranchSpec("x", 0, (4,)),)), 0)
-        with pytest.raises(InvalidTopology):
+        with pytest.raises(ValueError, match=r"^duplicate input names in \['x', 'x'\]$"):
             init_network(GraphSpec(branches=(BranchSpec("x", 3, ()),
                                              BranchSpec("x", 2, ()))), 0)
 
@@ -132,9 +128,10 @@ class TestForward:
 
     def test_shape_mismatch(self):
         net = init_network(tiny_spec(), 0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"^input names \['x'\] != expected \['w', 'x'\]$"):
             forward(net, {"x": np.ones((1, 3))})  # missing "w"
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError,
+                           match=r"^input 'x' has shape \(1, 4\), expected \(\*, 3\)$"):
             forward(net, {"x": np.ones((1, 4)), "w": np.ones((1, 1))})
 
 
@@ -189,9 +186,9 @@ class TestGradients:
     def test_bad_labels_rejected(self):
         net = init_network(tiny_spec(), 0)
         inputs = {"x": np.ones((2, 3)), "w": np.ones((2, 1))}
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="^label outside class range$"):
             loss_and_gradients(net, inputs, [0, 2])
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"^labels shape \(1,\) != \(2,\)$"):
             loss_and_gradients(net, inputs, [0])
 
 
@@ -201,11 +198,11 @@ class TestWorkspace:
         net = init_network(spec, 0)
         inputs = {"x": np.ones((4, 3)), "w": np.ones((4, 1))}
         work = Workspace(spec, 5)
-        with pytest.raises(ShapeMismatch, match="labels shape"):
+        with pytest.raises(ValueError, match="labels shape"):
             loss_and_gradients(net, inputs, [0, 1, 0], work=work)
-        with pytest.raises(ShapeMismatch, match="input names"):
+        with pytest.raises(ValueError, match="input names"):
             loss_and_gradients(net, {"x": inputs["x"]}, [0, 1, 0, 1], work=work)
-        with pytest.raises(ShapeMismatch, match=r"workspace holds 5 rows, the batch has 4"):
+        with pytest.raises(ValueError, match=r"workspace holds 5 rows, the batch has 4"):
             loss_and_gradients(net, inputs, [0, 1, 0, 1], work=work)
 
     def test_reused_across_nets_of_one_spec_as_without_one(self):
@@ -273,7 +270,7 @@ class TestTrain:
 
     def test_empty_dataset_rejected(self):
         net = init_network(self.spec2d(), 0)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(ValueError, match="^training set is empty$"):
             train(net, {"x": np.zeros((0, 2))}, [], TrainConfig(epochs=1))
 
     def test_deterministic_given_seed(self):
@@ -290,7 +287,8 @@ class TestTrain:
     def test_non_finite_loss_raises(self):
         inputs, labels = self.separable_data(20)
         net = init_network(self.spec2d(), 2)
-        with pytest.raises(TrainingDiverged):
+        with pytest.raises(ValueError,
+                           match=r"^loss is \S+ at epoch \d+ \(learning rate 1e\+300\)$"):
             train(net, inputs, labels, TrainConfig(epochs=5, learning_rate=1e300))
 
     @pytest.mark.parametrize("name", ["widedeep", "ann"])
@@ -361,7 +359,7 @@ class TestTrainAgainstReference:
         reference_losses = reference_train(init_network(self.SPECS[name], 5), inputs,
                                            labels, 25, 1e300)
         assert not math.isfinite(reference_losses[-1])
-        with pytest.raises(TrainingDiverged, match=f" at epoch {len(reference_losses)} "):
+        with pytest.raises(ValueError, match=f"^loss is .* at epoch {len(reference_losses)} "):
             train(init_network(self.SPECS[name], 5), inputs, labels,
                   TrainConfig(epochs=25, learning_rate=1e300))
 
@@ -371,7 +369,7 @@ class TestTrainAgainstReference:
         reference = init_network(self.SPECS[name], 5)
         reference_train(reference, inputs, labels, 25, 1e300)
         net = init_network(self.SPECS[name], 5)
-        with pytest.raises(TrainingDiverged):
+        with pytest.raises(ValueError, match="^loss is "):
             train(net, inputs, labels, TrainConfig(epochs=25, learning_rate=1e300))
         assert parameter_sha256(net) == parameter_sha256(reference)
 

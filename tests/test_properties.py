@@ -26,7 +26,6 @@ from slidescreen.ingest import (
     MALIGNANT,
     NORMAL,
     MalformedRow,
-    ProbabilityOutOfRange,
     _load_patches_rows,
     load_manifest,
     load_patches,
@@ -182,7 +181,7 @@ def patch_file_outcomes(path, lines, eol, final_eol=True):
     def outcome(load):
         try:
             return load(path).tobytes()
-        except (MalformedRow, ProbabilityOutOfRange) as exc:
+        except MalformedRow as exc:
             return type(exc), str(exc), exc.line_no
 
     return outcome(load_patches), outcome(_load_patches_rows)

@@ -6,7 +6,6 @@ import pytest
 from slidescreen.features import LSRL, MPH, extract_features, mcc_profile
 from slidescreen.ingest import MALIGNANT, NORMAL, load_manifest, load_slide
 from slidescreen.synth import (
-    InvalidConfig,
     SynthConfig,
     generate_dataset,
     write_dataset,
@@ -141,6 +140,9 @@ def test_histogram_confidence_contrast():
     ("malignant_confidence", (0.0, 2.0)),
 ])
 def test_invalid_configs_rejected(field, value):
+    """The message names the field; malignant_confidence's calls its
+    values beta parameters."""
     cfg = SynthConfig(**{field: value})
-    with pytest.raises(InvalidConfig):
+    name = "beta parameters" if field == "malignant_confidence" else field
+    with pytest.raises(ValueError, match=name):
         cfg.validate()

@@ -1,5 +1,7 @@
 """List what the slidescreen commands write at small fixed configs: each
-command's exit code and stdout, then `sha256  path` for every file written.
+command's exit code, stdout and stderr, then `sha256  path` for every file
+written. The commands that succeed come first, then a fixed set that fails,
+one per kind of fault, on bad inputs that the listing writes to bad/.
 
 Two trees list the same iff their commands exit alike, print alike and
 write the same bytes, so comparing the listings of two src/ directories
@@ -11,18 +13,20 @@ checks that a change keeps every output:
 
 --compare prints every line that is in one listing only, marked waived
 when its name matches a pattern of the waiver file, and exits 1 if any is
-not waived. A line's name is `command CMD`, `exit CMD` or `stdout CMD`
-for a command's own line, exit code and output lines, with CMD the
-command after `slidescreen`, and `file PATH` for a digest line. The
+not waived. A line's name is `command CMD`, `exit CMD`, `stdout CMD` or
+`stderr CMD` for a command's own line, exit code and output lines (a
+stderr line is listed after `2> `), with CMD the command after
+`slidescreen`, and `file PATH` for a digest line. The
 waiver file holds one fnmatch-style pattern over names per line; blank
 lines and lines starting with # are skipped. A change that alters an
 output on purpose names it there, and the next change empties the file.
 
-Each command runs in a subprocess, with the given src/ first on sys.path
-and OPENBLAS_NUM_THREADS=1 (trained bits depend on the BLAS thread
-count), in a fresh temporary directory and with paths relative to it, so
-that no listing holds the directory's name. Needs only the standard
-library and the package's own dependencies.
+Each command runs in a subprocess, with the given src/ first on sys.path,
+OPENBLAS_NUM_THREADS=1 (trained bits depend on the BLAS thread count)
+and COLUMNS=80 (argparse wraps its usage text to it), in a fresh
+temporary directory and with paths relative to it, so that no listing
+holds the directory's name. Needs only the standard library and the
+package's own dependencies.
 """
 
 from __future__ import annotations
@@ -54,6 +58,17 @@ COMMANDS = [
     *(["heatmap", "--slide", f"data/{slide}.csv", "--out", f"heatmap-{slide}.csv"]
       for slide in SLIDES),
 ]
+# each fails, on the inputs of write_bad_inputs: a bad row, a repeated id,
+# one class, a truncated model, a missing file, a flag out of range
+FAILING = [
+    ["heatmap", "--slide", "bad/patches.csv", "--out", "bad/heatmap.csv"],
+    ["extract", "--manifest", "bad/manifest.csv", "--out", "bad/features.csv"],
+    *(["cv", "--features", "bad/one-class.csv", "--model", kind, "--k", "3", *FIT,
+       "--out", f"bad/cv-{kind}"] for kind in ("widedeep", "knn")),
+    ["predict", "--model", "bad/model.bin", "--slide", "data/malignant_000.csv"],
+    ["heatmap", "--slide", "data/missing.csv", "--out", "bad/heatmap.csv"],
+    ["cv", "--features", "features.csv", "--k", "1", *FIT, "--out", "bad/cv-k1"],
+]
 
 
 def write_noisy_manifest(data: Path) -> None:
@@ -70,6 +85,29 @@ def write_noisy_manifest(data: Path) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+def write_bad_inputs(work: Path) -> None:
+    """The inputs of the failing commands, in bad/: a patch CSV whose
+    second row holds a probability above 1, a manifest that names a slide
+    twice, the malignant rows of features.csv, and model.bin cut off
+    halfway through its payload."""
+    bad = work / "bad"
+    bad.mkdir()
+    (bad / "patches.csv").write_text("x,y,prob_malignant\n0,0,0.5\n100,0,1.5\n",
+                                     encoding="utf-8")
+    (bad / "manifest.csv").write_text(
+        "slide_id,label,predictions_path\n"
+        "s1,malignant,../data/malignant_000.csv\ns1,normal,../data/normal_006.csv\n",
+        encoding="utf-8")
+    with open(work / "features.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(bad / "one-class.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [rows[0], *(row for row in rows[1:] if row[1] == "malignant")])
+    model = (work / "model.bin").read_bytes()
+    header_end = model.index(b"\n") + 1
+    (bad / "model.bin").write_bytes(model[:(header_end + len(model)) // 2])
+
+
 def named_lines(listing: str) -> Counter:
     """The (name, line) pairs of a listing, counted; see the module
     docstring for the names."""
@@ -81,6 +119,8 @@ def named_lines(listing: str) -> Counter:
             named[f"command {command}", line] += 1
         elif digest:
             named[f"file {digest[1]}", line] += 1
+        elif line.startswith("2> "):
+            named[f"stderr {command}", line] += 1
         else:
             kind = "exit" if re.fullmatch(r"exit -?\d+", line) else "stdout"
             named[f"{kind} {command}", line] += 1
@@ -109,13 +149,17 @@ def main(argv: list[str]) -> int:
               file=sys.stderr)
         return 64
     src = Path(argv[0]).resolve()
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", COLUMNS="80")
     with tempfile.TemporaryDirectory() as work:
-        for command in COMMANDS:
+        for command in COMMANDS + FAILING:
+            if command is FAILING[0]:
+                write_bad_inputs(Path(work))
             done = subprocess.run([sys.executable, "-c", RUN, str(src), *command], cwd=work,
-                                  env=env, stdout=subprocess.PIPE, text=True)
+                                  env=env, capture_output=True, text=True)
             print(f"$ slidescreen {' '.join(command)}\nexit {done.returncode}")
             print(done.stdout, end="")
+            for line in done.stderr.splitlines():
+                print(f"2> {line}")
             if command[0] == "synth":
                 write_noisy_manifest(Path(work) / "data")
         for path in sorted(p for p in Path(work).rglob("*") if p.is_file()):
