@@ -1,8 +1,8 @@
-"""The five classifier kinds, and the comparison of all of them under
+"""The five classifier kinds, which `compare` cross-validates under
 identical folds.
 
 Every kind takes the (n, 18) feature matrix and has the same
-fit/predict_proba surface, so it plugs into cross_validate unchanged.
+fit/predict_proba surface, so it plugs into cross_validate_each unchanged.
 The two neural kinds, the wide-and-deep model and the ANN, are netcore's
 one network classifier, each with its own spec and input routing. The
 baselines' hyperparameters follow common defaults, each a module
@@ -27,14 +27,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evaluation import (
-    EvaluationReport,
-    LabeledExample,
-    cross_validate_each,
-    report_doc,
-    write_json,
-    write_metrics_csv,
-)
 from .features import N_FEATURES
 from .ingest import MALIGNANT, NORMAL
 from .netcore import (
@@ -263,25 +255,3 @@ def classifier_factory(kind: str, config: TrainConfig) -> Callable[[], object]:
         raise ValueError(f"unknown classifier kind {kind!r}")
     cls = CLASSIFIERS[kind]
     return functools.partial(cls, config) if issubclass(cls, NetClassifier) else cls
-
-
-def run_comparison(examples: Sequence[LabeledExample], k: int, seed: int,
-                   config: TrainConfig,
-                   kinds: Sequence[str] = CLASSIFIER_KINDS,
-                   jobs: int = 1) -> dict[str, EvaluationReport]:
-    """Cross-validate every classifier under the identical fold assignment
-    (same dataset, K and seed), every (kind, fold) pair in one pool of up
-    to jobs workers; returns reports keyed by classifier kind."""
-    return cross_validate_each(
-        examples, {kind: classifier_factory(kind, config) for kind in kinds},
-        k, seed, jobs=jobs)
-
-
-def write_comparison_csv(reports: dict[str, EvaluationReport], path) -> None:
-    """One row per classifier with its fold-averaged metrics."""
-    write_metrics_csv("model", [(kind, report.average)
-                                for kind, report in reports.items()], path)
-
-
-def write_comparison_json(reports: dict[str, EvaluationReport], path) -> None:
-    write_json({kind: report_doc(report) for kind, report in reports.items()}, path)

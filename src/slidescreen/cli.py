@@ -198,16 +198,17 @@ def _check_out_file(path: Path) -> None:
 
 @contextlib.contextmanager
 def _out_dir(path: Path):
-    """Create the --out directory before any work; if the command then
-    fails, a directory created here is removed again while still empty."""
-    created = not path.exists()
+    """Create the --out directory, and any missing parent, before any work;
+    if the command then fails, each directory created here is removed
+    again while still empty."""
+    created = [p for p in (path, *path.parents) if not p.exists()]  # innermost first
     path.mkdir(parents=True, exist_ok=True)
     try:
         yield
     except BaseException:
-        if created:
-            with contextlib.suppress(OSError):
-                path.rmdir()
+        with contextlib.suppress(OSError):
+            for directory in created:
+                directory.rmdir()
         raise
 
 
@@ -237,32 +238,37 @@ def _train_config(args) -> netcore.TrainConfig:
         raise UsageError(str(exc)) from None
 
 
-def cmd_cv(args) -> int:
+def _cross_validate(args, config: netcore.TrainConfig, kinds) -> dict:
+    """The report of every classifier kind, keyed by kind, under one fold
+    assignment of the dataset, with every (kind, fold) task in one pool."""
     from . import baselines, evaluation
+    factories = {kind: baselines.classifier_factory(kind, config) for kind in kinds}
+    return evaluation.cross_validate_each(_load_examples(args), factories, args.k,
+                                          args.seed, jobs=args.jobs)
+
+
+def cmd_cv(args) -> int:
+    from . import evaluation
     config = _train_config(args)
     with _out_dir(args.out):
-        examples = _load_examples(args)
-        factory = baselines.classifier_factory(args.model, config)
-        report = evaluation.cross_validate(examples, factory, args.k, args.seed,
-                                           jobs=args.jobs)
-        evaluation.write_report_csv(report, args.out / "report.csv")
-        evaluation.write_report_json(report, args.out / "report.json")
+        report = _cross_validate(args, config, [args.model])[args.model]
+        rows = [(str(f.fold), f.metrics) for f in report.folds] + [("average", report.average)]
+        evaluation.write_report(args.out / "report", "fold", rows, evaluation.report_doc(report))
     print(f"wrote {args.out / 'report.csv'}")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    from . import baselines
+    from . import evaluation
     repeated = sorted({m for m in args.models if args.models.count(m) > 1})
     if repeated:
         raise UsageError(f"--models names {', '.join(repeated)} more than once")
     config = _train_config(args)
     with _out_dir(args.out):
-        examples = _load_examples(args)
-        reports = baselines.run_comparison(examples, args.k, args.seed, config,
-                                           kinds=args.models, jobs=args.jobs)
-        baselines.write_comparison_csv(reports, args.out / "comparison.csv")
-        baselines.write_comparison_json(reports, args.out / "comparison.json")
+        reports = _cross_validate(args, config, args.models)
+        evaluation.write_report(args.out / "comparison", "model",
+                                [(kind, r.average) for kind, r in reports.items()],
+                                {kind: evaluation.report_doc(r) for kind, r in reports.items()})
     print(f"wrote {args.out / 'comparison.csv'}")
     return EXIT_OK
 
@@ -311,7 +317,7 @@ def cmd_heatmap(args) -> int:
         np.fmax.at(grid, (rows, cols), patches["prob_malignant"])
     lines = (",".join("" if math.isnan(v) else repr(v) for v in row.tolist()) + "\n"
              for row in grid)  # a row at a time: memory stays near the grid's own
-    ingest.replace_file(args.out, lines)
+    ingest.replace_files({args.out: lines})
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import LABEL_NAMES, MALIGNANT, NORMAL, replace_file, write_table
+from .ingest import LABEL_NAMES, MALIGNANT, NORMAL, replace_files, table_text
 from .seeding import derive_seed
 
 
@@ -245,22 +245,6 @@ def cross_validate(examples: Sequence[LabeledExample],
     return cross_validate_each(examples, {"": factory}, k, seed, jobs)[""]
 
 
-def write_metrics_csv(key: str, rows: Sequence[tuple[str, MetricSet]],
-                      path) -> None:
-    """Two-decimal CSV: a header of key and the metric names, then one row
-    per (name, metrics) pair; an undefined metric is an empty cell."""
-    cells = [[name] + ["" if math.isnan(v) else f"{v:.2f}" for v in astuple(m)]
-             for name, m in rows]
-    write_table(path, (key,) + METRIC_NAMES,
-                list(zip(*cells)) or [()] * (1 + len(METRIC_NAMES)))
-
-
-def write_report_csv(report: EvaluationReport, path) -> None:
-    """One row per fold plus the average row."""
-    write_metrics_csv("fold", [(str(fold.fold), fold.metrics) for fold in report.folds]
-                      + [("average", report.average)], path)
-
-
 def _metrics_doc(m: MetricSet) -> dict:
     return {name: (None if math.isnan(value) else value)
             for name, value in asdict(m).items()}
@@ -282,11 +266,13 @@ def report_doc(report: EvaluationReport) -> dict:
     }
 
 
-def write_json(doc, path) -> None:
-    """Indented JSON with sorted keys and a final newline."""
-    replace_file(path, [json.dumps(doc, indent=1, sort_keys=True), "\n"])
-
-
-def write_report_json(report: EvaluationReport, path) -> None:
-    """Full-precision JSON report including the confusion matrices."""
-    write_json(report_doc(report), path)
+def write_report(stem, key: str, rows: Sequence[tuple[str, MetricSet]], doc) -> None:
+    """Write stem.csv and stem.json together (ingest.replace_files): the
+    CSV has a header of key and the metric names, then one row per (name,
+    metrics) pair, two decimals, an undefined metric an empty cell; the
+    JSON is doc, indented, with sorted keys and a final newline."""
+    cells = [[name] + ["" if math.isnan(v) else f"{v:.2f}" for v in astuple(m)]
+             for name, m in rows]
+    table = table_text((key,) + METRIC_NAMES, list(zip(*cells)))
+    replace_files({f"{stem}.csv": [table],
+                   f"{stem}.json": [json.dumps(doc, indent=1, sort_keys=True), "\n"]})

@@ -14,7 +14,8 @@ within its table.
 All files UTF-8 (other bytes are a MalformedRow); LF and CRLF line endings
 are both accepted; files are written with LF, numbers as their Python repr,
 and a cell holding a carriage return is refused. Every output file of the
-package is written by replace_file.
+package is written by replace_files, which replaces a set of files
+together.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -269,28 +270,33 @@ def load_slide(entry: ManifestEntry) -> SlideRecord:
     return SlideRecord(entry.slide_id, entry.label, load_patches(entry.predictions_path))
 
 
-def replace_file(path, parts: Iterable) -> None:
-    """Write parts in order (a str as UTF-8, bytes or a contiguous array as
-    they are) to a new file beside path, then rename it over path. A write
-    that fails or is interrupted leaves the previous file as it was and no
-    partial file behind; a symlink at path is replaced, not written through."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "xb")
+def replace_files(parts_by_path: Mapping) -> None:
+    """Write each path's parts in order (a str as UTF-8, bytes or a
+    contiguous array as they are) to a new file beside it, then rename
+    every new file over its path. A failure before the first rename, in
+    any write, leaves every previous file as it was; no partial file is
+    left behind. A symlink at a path is replaced, not written through."""
+    renames = {}  # each temporary file -> its target
     try:
-        with fh:
-            for part in parts:
-                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
-        os.replace(tmp, path)
+        for path, parts in parts_by_path.items():
+            path = Path(path)
+            tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+            with open(tmp, "xb") as fh:
+                renames[tmp] = path
+                for part in parts:
+                    fh.write(part.encode("utf-8") if isinstance(part, str) else part)
+        for tmp, path in renames.items():
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in renames:
+            tmp.unlink(missing_ok=True)
         raise
 
 
-def write_table(path, header: Sequence[str], columns: Sequence) -> None:
-    """Write a CSV table from its columns (one per header name, all of one
-    length), UTF-8 with LF line ends: a 1-D numpy array's cells are the repr
-    of its numbers, another column's the str of its items. A carriage return
+def table_text(header: Sequence[str], columns: Sequence) -> str:
+    """A CSV table from its columns (one per header name, all of one
+    length), with LF line ends: a 1-D numpy array's cells are the repr of
+    its numbers, another column's the str of its items. A carriage return
     in a cell raises ValueError: csv.writer leaves it unquoted before 3.13."""
     # a list's repr joins its items' reprs with ", ", which no number's repr holds
     cells = [repr(col.tolist())[1:-1].split(", ") if isinstance(col, np.ndarray) and len(col)
@@ -307,8 +313,13 @@ def write_table(path, header: Sequence[str], columns: Sequence) -> None:
     if quote:
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(rows)
-        text = buffer.getvalue()
-    replace_file(path, [text])
+        return buffer.getvalue()
+    return text
+
+
+def write_table(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write table_text(header, columns) to path, as UTF-8."""
+    replace_files({path: [table_text(header, columns)]})
 
 
 def write_patches(patches: np.ndarray, path) -> None:

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import replace_file
+from .ingest import replace_files
 
 RELU = "relu"
 SOFTMAX = "softmax"
@@ -444,10 +444,10 @@ def save_model(net: NetworkGraph, path, topology: str,
 
     The spec gives every array's shape, so the file holds no offsets.
     Reloading gives bit-identical parameters, so forward outputs are
-    reproduced exactly. The file is written by ingest.replace_file.
+    reproduced exactly. The file is written by ingest.replace_files.
     """
-    replace_file(path, [json.dumps(_header(net.spec, topology, meta)).encode("ascii") + b"\n",
-                        np.ascontiguousarray(net.values, dtype="<f4")])
+    replace_files({path: [json.dumps(_header(net.spec, topology, meta)).encode("ascii") + b"\n",
+                          np.ascontiguousarray(net.values, dtype="<f4")]})
 
 
 def load_model(path, topology: str, spec: GraphSpec):

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from slidescreen import synth
-from slidescreen.baselines import run_comparison
+from slidescreen.baselines import CLASSIFIER_KINDS, classifier_factory
 from slidescreen.cli import main as cli_main
 from slidescreen.evaluation import (
     LabeledExample,
     MetricSet,
+    cross_validate_each,
     f1_score,
     mean_metrics,
     roc_auc,
@@ -78,8 +79,9 @@ def comparison_reports(default_synthetic_examples):
     run on every core."""
     config = TrainConfig(epochs=500, learning_rate=1e-3, seed=0)
     jobs = (os.cpu_count() or 1) if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else 1
-    return run_comparison(default_synthetic_examples, k=5, seed=20240501,
-                          config=config, jobs=jobs)
+    factories = {kind: classifier_factory(kind, config) for kind in CLASSIFIER_KINDS}
+    return cross_validate_each(default_synthetic_examples, factories, k=5, seed=20240501,
+                               jobs=jobs)
 
 
 def test_c1_formula_fidelity_against_reference_table():

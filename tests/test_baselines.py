@@ -16,11 +16,16 @@ from slidescreen.baselines import (
     LinearSvmClassifier,
     RandomForestClassifier,
     classifier_factory,
-    run_comparison,
-    write_comparison_csv,
 )
 from slidescreen import evaluation
-from slidescreen.evaluation import LabeledExample, cross_validate, stratified_kfold
+from slidescreen.evaluation import (
+    LabeledExample,
+    cross_validate,
+    cross_validate_each,
+    report_doc,
+    stratified_kfold,
+    write_report,
+)
 from slidescreen.features import LSRL, MCC, MPH, MTR, N_FEATURES
 from slidescreen.ingest import MALIGNANT, NORMAL
 from slidescreen.netcore import (
@@ -201,6 +206,12 @@ def fold_model_digest(task):
     return hashlib.sha256(factory().fit(X, labels, seed).net.values.tobytes()).hexdigest()
 
 
+def compare(examples, k, seed, config, kinds=CLASSIFIER_KINDS, jobs=1):
+    """What compare runs: every kind under one fold assignment."""
+    factories = {kind: classifier_factory(kind, config) for kind in kinds}
+    return cross_validate_each(examples, factories, k, seed, jobs=jobs)
+
+
 class TestComparison:
     def make_examples(self, n_per_class=12):
         rng = np.random.default_rng(14)
@@ -211,12 +222,12 @@ class TestComparison:
     def test_single_classifier_table(self, tmp_path):
         examples = self.make_examples()
         config = TrainConfig(epochs=5, learning_rate=1e-3)
-        reports = run_comparison(examples, 3, seed=15, config=config,
-                                 kinds=("knn",))
+        reports = compare(examples, 3, seed=15, config=config, kinds=("knn",))
         assert list(reports) == ["knn"]
-        path = tmp_path / "comparison.csv"
-        write_comparison_csv(reports, path)
-        lines = path.read_text(encoding="utf-8").strip().split("\n")
+        write_report(tmp_path / "comparison", "model",
+                     [(kind, report.average) for kind, report in reports.items()],
+                     {kind: report_doc(report) for kind, report in reports.items()})
+        lines = (tmp_path / "comparison.csv").read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "model,accuracy,sensitivity,precision,f1,auc"
         assert len(lines) == 2
         assert lines[1].startswith("knn,")
@@ -224,8 +235,7 @@ class TestComparison:
     def test_identical_fold_assignment_across_classifiers(self):
         examples = self.make_examples()
         config = TrainConfig(epochs=5, learning_rate=1e-3)
-        reports = run_comparison(examples, 3, seed=16, config=config,
-                                 kinds=("knn", "svm", "rf"))
+        reports = compare(examples, 3, seed=16, config=config, kinds=("knn", "svm", "rf"))
         assignments = {kind: rep.fold_slide_ids for kind, rep in reports.items()}
         assert assignments["knn"] == assignments["svm"] == assignments["rf"]
 
@@ -234,8 +244,7 @@ class TestComparison:
         examples = self.make_examples()
         config = TrainConfig(epochs=5, learning_rate=1e-3)
         kinds = ("ann", "svm", "rf", "knn")
-        reports = run_comparison(examples, 3, seed=17, config=config, kinds=kinds,
-                                 jobs=jobs)
+        reports = compare(examples, 3, seed=17, config=config, kinds=kinds, jobs=jobs)
         assert list(reports) == list(kinds)
         for kind in kinds:
             assert reports[kind] == cross_validate(
@@ -267,9 +276,8 @@ class TestComparison:
             return [fn(item) for item in items]
 
         monkeypatch.setattr(evaluation, "parallel_map", recording_map)
-        run_comparison(self.make_examples(), 3, seed=18,
-                       config=TrainConfig(epochs=2), kinds=("ann", "svm", "rf", "knn"),
-                       jobs=2)
+        compare(self.make_examples(), 3, seed=18, config=TrainConfig(epochs=2),
+                kinds=("ann", "svm", "rf", "knn"), jobs=2)
         assert calls == [(4 * 3, 2)]
 
     def test_cross_validate_signature_kept(self):

@@ -591,33 +591,62 @@ def test_unusable_out_is_io_error_before_any_work(dataset, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["extract", "synth-patches", "synth-manifest", "cv",
-                                     "heatmap"])
+                                     "compare", "cv-new-out", "compare-new-out", "heatmap"])
 def test_full_disk_keeps_previous_output(dataset, tmp_path, capsys, full_disk, command):
     """A disk that fills during a write over a good output (in a patch CSV
-    or in the manifest for synth, in report.json for cv): the run exits 2
-    with one stderr line, and every file is as it was, with no temporary
-    file beside it."""
-    out, table = tmp_path / "out", tmp_path / "features.csv"
+    or in the manifest for synth, in the .json file of cv's and compare's
+    pair once the new .csv file is written): the run exits 2 with one
+    stderr line, and every file is as it was, with no temporary file
+    beside it. cv and compare rerun at another --k, so that both files of
+    the pair would change, over the first run's files or into a new --out
+    directory, which the failed run removes with the parent it made."""
+    out, new, table = tmp_path / "out", tmp_path / "new", noisy_table(dataset, tmp_path)
     out.mkdir()
-    assert run("extract", "--manifest", dataset, "--out", table) == 0
+    kind, target = command.split("-")[0], new / "out" if command.endswith("new-out") else out
     argv = {
         "extract": ["extract", "--manifest", dataset, "--out", out / "features.csv"],
         "synth": ["synth", "--out", out, "--seed", 5, "--slides-per-label", 3, "--grid", 8],
-        "cv": ["cv", "--features", table, "--model", "knn", "--k", 3, "--seed", 7,
-               "--out", out],
+        "cv": pair_argv("cv", table, 3, out),
+        "compare": pair_argv("compare", table, 3, out),
         "heatmap": ["heatmap", "--slide", load_manifest(dataset)[0].predictions_path,
                     "--out", out / "grid.csv"],
-    }[command.split("-")[0]]
+    }[kind]
     assert run(*argv) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    fits = {"synth-manifest": [name for name in before if name != "manifest.csv"],
-            "cv": ["report.csv"]}.get(command, [])  # the files written before the failing one
-    full_disk(out, sum(len(before[name]) for name in fits) + 10)
+    room = sum(len(data) for name, data in before.items() if name != "manifest.csv") \
+        if command == "synth-manifest" else 0  # what the files before the failing one take
+    if kind in ("cv", "compare"):  # the rerun's pair, written into a directory of its own
+        argv = pair_argv(kind, table, 2, tmp_path / "probe")
+        assert run(*argv) == 0
+        pair = {p.name: p.read_bytes() for p in (tmp_path / "probe").iterdir()}
+        assert all(pair[name] != before[name] for name in before)
+        room = len(next(data for name, data in pair.items() if name.endswith(".csv")))
+        argv[-1] = target
+    full_disk(target, room + 10)
     capsys.readouterr()
     assert run(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "No space left" in err[0]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert not new.exists()
+
+
+def noisy_table(dataset, tmp_path):
+    """The dataset's feature table with the labels of its first malignant
+    and first normal slide swapped, so that no classifier scores 100 % and
+    the reports differ with --k."""
+    table = tmp_path / "features.csv"
+    assert run("extract", "--manifest", dataset, "--out", table) == 0
+    text = table.read_text(encoding="utf-8").replace(",malignant,", ",swapped,", 1)
+    text = text.replace(",normal,", ",malignant,", 1).replace(",swapped,", ",normal,")
+    table.write_text(text, encoding="utf-8")
+    return table
+
+
+def pair_argv(command, table, k, out):
+    """A cv or compare run of the feature table into the directory out."""
+    models = ["--model", "knn"] if command == "cv" else ["--models", "svm", "knn"]
+    return [command, "--features", table, *models, "--k", k, "--seed", 7, "--out", out]
 
 
 def test_no_command_is_usage_error():

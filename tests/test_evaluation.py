@@ -16,10 +16,10 @@ from slidescreen.evaluation import (
     confusion_matrix,
     cross_validate,
     mean_metrics,
+    report_doc,
     roc_auc,
     stratified_kfold,
-    write_report_csv,
-    write_report_json,
+    write_report,
 )
 from slidescreen.features import MTR, N_FEATURES
 from slidescreen.ingest import MALIGNANT, NORMAL
@@ -286,12 +286,17 @@ class TestCrossValidate:
         assert report.average == mean_metrics([f.metrics for f in report.folds])
 
 
+def write_cv_report(report, stem):
+    """The pair that cv writes: one row per fold plus the average row."""
+    rows = [(str(f.fold), f.metrics) for f in report.folds] + [("average", report.average)]
+    write_report(stem, "fold", rows, report_doc(report))
+
+
 class TestReportExport:
     def test_csv_shape(self, tmp_path):
         report = cross_validate(mtr_dataset(), MtrThresholdClassifier, 4, seed=2)
-        path = tmp_path / "report.csv"
-        write_report_csv(report, path)
-        lines = path.read_text(encoding="utf-8").strip().split("\n")
+        write_cv_report(report, tmp_path / "report")
+        lines = (tmp_path / "report.csv").read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "fold,accuracy,sensitivity,precision,f1,auc"
         assert len(lines) == 1 + 4 + 1
         assert lines[-1].startswith("average,")
@@ -299,9 +304,8 @@ class TestReportExport:
 
     def test_json_has_confusions_and_full_precision(self, tmp_path):
         report = cross_validate(mtr_dataset(), MtrThresholdClassifier, 4, seed=2)
-        path = tmp_path / "report.json"
-        write_report_json(report, path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        write_cv_report(report, tmp_path / "report")
+        doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert len(doc["folds"]) == 4
         fold = doc["folds"][0]
         assert set(fold["confusion"]) == {"tp", "tn", "fp", "fn"}

@@ -29,6 +29,7 @@ from slidescreen.ingest import (
     load_slide,
     longest_fast_line,
     parse_label,
+    replace_files,
     write_manifest,
     write_patches,
 )
@@ -485,3 +486,54 @@ def test_load_patches_peak_memory_is_about_the_file_size(tmp_path):
 def test_parse_label_rejects_unknown():
     with pytest.raises(ValueError):
         parse_label("benign")
+
+
+def two_files(tmp_path):
+    """Two targets, a.txt and b.txt, holding their previous text."""
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("previous a\n", encoding="utf-8")
+    b.write_text("previous b\n", encoding="utf-8")
+    return a, b
+
+
+def test_replace_files_replaces_every_file(tmp_path):
+    a, b = two_files(tmp_path)
+    replace_files({a: ["new ", "a\n"], b: [b"new b\n", np.arange(2, dtype="<u1")]})
+    assert a.read_bytes() == b"new a\n"
+    assert b.read_bytes() == b"new b\n\x00\x01"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+
+@pytest.mark.parametrize("fault", ["full-disk", "interrupt"])
+def test_replace_files_fault_in_second_file_keeps_both(tmp_path, full_disk, fault):
+    """A write that fails in the second file, once the first file's new
+    text is written in full: neither target changes, and no temporary
+    file is left."""
+    a, b = two_files(tmp_path)
+
+    def interrupted():
+        yield "new b"
+        raise KeyboardInterrupt
+
+    if fault == "full-disk":
+        full_disk(tmp_path, len("new a\n") + 2)
+        second, error = ["new b\n"], OSError
+    else:
+        second, error = interrupted(), KeyboardInterrupt
+    with pytest.raises(error):
+        replace_files({a: ["new a\n"], b: second})
+    assert a.read_text(encoding="utf-8") == "previous a\n"
+    assert b.read_text(encoding="utf-8") == "previous b\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+
+def test_replace_files_replaces_a_symlink_not_its_target(tmp_path):
+    a, b = two_files(tmp_path)
+    elsewhere = tmp_path / "elsewhere.txt"
+    elsewhere.write_text("kept\n", encoding="utf-8")
+    a.unlink()
+    a.symlink_to(elsewhere)
+    replace_files({a: ["new a\n"], b: ["new b\n"]})
+    assert not a.is_symlink() and a.read_text(encoding="utf-8") == "new a\n"
+    assert elsewhere.read_text(encoding="utf-8") == "kept\n"
+    assert b.read_text(encoding="utf-8") == "new b\n"

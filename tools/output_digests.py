@@ -19,7 +19,9 @@ stderr line is listed after `2> `), with CMD the command after
 `slidescreen`, and `file PATH` for a digest line. The
 waiver file holds one fnmatch-style pattern over names per line; blank
 lines and lines starting with # are skipped. A change that alters an
-output on purpose names it there, and the next change empties the file.
+output on purpose names it there, and the next change empties the file:
+a pattern that matches no line in one listing only is stale, and
+--compare names it and exits 1.
 
 Each command runs in a subprocess, with the given src/ first on sys.path,
 OPENBLAS_NUM_THREADS=1 (trained bits depend on the BLAS thread count)
@@ -131,13 +133,16 @@ def compare(parent: Path, change: Path, waivers: Path) -> int:
     patterns = [line.strip() for line in waivers.read_text(encoding="utf-8").splitlines()
                 if line.strip() and not line.lstrip().startswith("#")]
     a, b = (named_lines(p.read_text(encoding="utf-8")) for p in (parent, change))
-    unwaived = 0
+    unwaived, stale = 0, set(patterns)
     for sign, only in (("-", a - b), ("+", b - a)):
         for name, line in sorted(only):
-            waived = any(fnmatchcase(name, pattern) for pattern in patterns)
+            waived = {pattern for pattern in patterns if fnmatchcase(name, pattern)}
+            stale -= waived
             unwaived += not waived
             print(f"{sign} {line}    [{name}: {'waived' if waived else 'NOT WAIVED'}]")
-    return 1 if unwaived else 0
+    for pattern in sorted(stale):
+        print(f"stale waiver {pattern!r}: no line that differs matches it")
+    return 1 if unwaived or stale else 0
 
 
 def main(argv: list[str]) -> int:
